@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldSample, FieldSpec, HarmonicCoefficients, replicate_rng, sample_coefficients, synthesize
-from .grid import SphereGrid, build_grid, integrate
+from .grid import SphereGrid, build_grid, integrate_rows
 from .specfun import FOUR_PI, gaussian_pdf, jq_coefficient
 
 
@@ -40,31 +40,45 @@ class ChaosProjection:
 
 def excursion_area(sample: FieldSample, u: float, replicate_id: int = -1) -> ExcursionResult:
     """Area of the region where the realization exceeds u (steradians)."""
-    indicator = (sample.values > u).astype(float)
+    counts = np.count_nonzero(sample.values > u, axis=1)
     return ExcursionResult(
         u=u,
-        area=integrate(sample.grid, indicator),
+        area=float(integrate_rows(sample.grid, counts)),
         replicate_id=replicate_id,
         spec=sample.spec,
     )
 
 
+def _hermite_power_coefficients(q_max: int) -> np.ndarray:
+    """c[q, k] with H_q(t) = sum_k c[q, k] t^k (probabilists' Hermite)."""
+    c = np.zeros((q_max + 1, q_max + 1))
+    c[0, 0] = 1.0
+    for q in range(1, q_max + 1):
+        c[q, 1:] = c[q - 1, :-1]
+        if q >= 2:
+            c[q] -= (q - 1) * c[q - 2]
+    return c
+
+
 def chaos_integrals(sample: FieldSample, q_max: int) -> np.ndarray:
-    """Sphere integrals of H_q(field) for q = 0..q_max in one streaming pass."""
+    """Sphere integrals of H_q(field) for q = 0..q_max.
+
+    Integrates the powers field^k row by row (one in-place running power, no
+    array per order) and combines the moments with the Hermite coefficients
+    once."""
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     v = sample.values
-    out = np.empty(q_max + 1)
-    prev = np.ones_like(v)
-    out[0] = integrate(sample.grid, prev)
-    if q_max == 0:
-        return out
-    cur = v
-    out[1] = integrate(sample.grid, cur)
+    sums = np.empty((q_max + 1, v.shape[0]))
+    sums[0] = v.shape[1]
+    if q_max >= 1:
+        sums[1] = v.sum(axis=1)
+    power = v.copy() if q_max > 2 else v
     for k in range(2, q_max + 1):
-        prev, cur = cur, v * cur - (k - 1) * prev
-        out[k] = integrate(sample.grid, cur)
-    return out
+        sums[k] = np.einsum("ij,ij->i", power, v)  # rows of v^(k-1) * v
+        if k < q_max:
+            power *= v
+    return _hermite_power_coefficients(q_max) @ integrate_rows(sample.grid, sums)
 
 
 def chaos_projection(sample: FieldSample, q: int) -> ChaosProjection:

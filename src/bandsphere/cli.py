@@ -22,8 +22,8 @@ import numpy as np
 
 from . import covariance as cov
 from . import experiments as ex
-from .field import make_spec, replicate_rng, sample_coefficients, synthesize, write_field_csv
-from .grid import build_grid
+from .field import band_table_bytes, make_spec, replicate_rng, sample_coefficients, synthesize, write_field_csv
+from .grid import build_grid, theta_count
 from .specfun import FOUR_PI, gaussian_cdf
 
 SEED_ENV_VAR = "BANDSPHERE_SEED"
@@ -157,6 +157,37 @@ def _report_payload(resolved: dict, result: ex.ExperimentResult, flags: dict) ->
     }
 
 
+def _physical_memory_bytes() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no known limit
+        return math.inf
+
+
+def _check_table_fits(spec, degree: int) -> None:
+    """Usage error, before anything is allocated, when the band table of the
+    field grid would not fit in physical memory."""
+    need = band_table_bytes(spec, theta_count(degree))
+    limit = _physical_memory_bytes()
+    if need > limit:
+        raise UsageError(
+            f"n = {spec.n}: the band table needs {need / 1e9:.2f} GB, more than "
+            f"the {limit / 1e9:.2f} GB of physical memory"
+        )
+
+
+def _check_sweep_fits(config: ex.ExperimentConfig, q_max: int) -> None:
+    """_check_table_fits for the largest n of a field-mode sweep."""
+    if config.mode != "field_full":
+        return
+    n = config.n_list[-1]
+    try:
+        spec = make_spec(n, config.beta, config.band_rounding)
+    except ValueError:
+        return  # the sweep reports the bad spec in its row
+    _check_table_fits(spec, ex.grid_degree(n, config.oversample, q_max))
+
+
 # --- subcommands --------------------------------------------------------------
 
 def cmd_covariance(args) -> int:
@@ -202,7 +233,9 @@ def cmd_simulate(args) -> int:
         spec = make_spec(r["n"], r["beta"], r["band_rounding"])
     except ValueError as exc:
         raise UsageError(str(exc))
-    grid = build_grid(max(int(math.ceil(r["oversample"] * spec.n)), 2 * spec.n))
+    degree = ex.grid_degree(spec.n, r["oversample"])
+    _check_table_fits(spec, degree)
+    grid = build_grid(degree)
     sample = synthesize(sample_coefficients(spec, replicate_rng(r["seed"], spec.n, 0)), grid)
     if r["out"]:
         write_field_csv(sample, r["out"], header_lines=_header_lines(r))
@@ -226,6 +259,7 @@ def cmd_excursion(args) -> int:
     mode = _MODE_ALIASES.get(r["mode"], r["mode"])
     r["mode"] = mode
     config = _experiment_config(r, (r["n"],), mode)
+    _check_sweep_fits(config, config.q_max)
     result = ex.run_variance_sweep(config)
     row = result.rows[0]
     if row.error is not None:
@@ -254,6 +288,7 @@ def cmd_scaling(args) -> int:
     if r["n_list"] is None or r["beta"] is None:
         raise UsageError("scaling requires --n and --beta")
     config = _experiment_config(r, tuple(r["n_list"]), "field_full")
+    _check_sweep_fits(config, config.q_max)
     result = ex.run_variance_sweep(config)
     flags = {"all_rows_ok": all(row.error is None for row in result.rows)}
     # the slope is judged against the exponent of the exact integer D(n) over
@@ -287,6 +322,7 @@ def cmd_clt(args) -> int:
     mode = _MODE_ALIASES.get(r["mode"], r["mode"])
     r["mode"] = mode
     config = _experiment_config(r, (r["n"],), mode)
+    _check_sweep_fits(config, config.q_max)
     result = ex.run_variance_sweep(config)
     row = result.rows[0]
     if row.error is not None:
@@ -308,6 +344,7 @@ def cmd_chaos(args) -> int:
     if r["n_list"] is None or r["beta"] is None:
         raise UsageError("chaos requires --n and --beta")
     config = _experiment_config(r, tuple(r["n_list"]), "field_full")
+    _check_sweep_fits(config, max(config.q_max, 4))  # the report runs at q_max >= 4
     try:
         report = ex.chaos_dominance_report(config)
     except ValueError as exc:

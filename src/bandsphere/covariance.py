@@ -59,9 +59,12 @@ def gamma_cd(spec: FieldSpec, theta) -> np.ndarray | float:
     scalar = np.isscalar(theta)
     th = _check_theta(theta)
     x = np.cos(th)
-    upper = (spec.n + 1) * jacobi_p10(spec.n, x)
-    lower = spec.ell_min * jacobi_p10(spec.ell_min - 1, x) if spec.ell_min >= 1 else 0.0
-    out = spec.c_norm / FOUR_PI * (upper - lower)
+    if spec.ell_min >= 1:
+        # one recurrence to n passes through ell_min - 1 on the way
+        lower, upper = jacobi_p10((spec.ell_min - 1, spec.n), x)
+        out = spec.c_norm / FOUR_PI * ((spec.n + 1) * upper - spec.ell_min * lower)
+    else:
+        out = spec.c_norm / FOUR_PI * ((spec.n + 1) * jacobi_p10(spec.n, x))
     return float(out[0]) if scalar else out
 
 

@@ -211,10 +211,16 @@ def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
     return {"area": areas, "h": h, "h2_exact": h2x, "seed": seeds}
 
 
+def grid_degree(n: int, oversample: float, q_max: int = 2) -> int:
+    """Degree of the field grid at top frequency n: oversample * n, and at
+    least q_max * n, the degree of H_q(field) for q <= q_max, so the chaos
+    quadratures up to q_max are exact."""
+    return max(int(math.ceil(oversample * n)), q_max * n)
+
+
 def _field_row(config: ExperimentConfig, n: int):
     spec = make_spec(n, config.beta, config.band_rounding)
-    degree = max(int(math.ceil(config.oversample * n)), 2 * n)
-    grid = build_grid(degree)
+    grid = build_grid(grid_degree(n, config.oversample, config.q_max))
     band_table(spec, grid)  # build before forking so workers share it
     data = _run_replicates(
         spec, grid, config.u, config.q_max, config.master_seed, config.replicates, config.workers

@@ -142,18 +142,35 @@ def sample_coefficients(spec: FieldSpec, rng: np.random.Generator) -> HarmonicCo
 
 
 # --- synthesis ---------------------------------------------------------------
+#
+# Band table layout: N_l^m(x) at the northern Gauss nodes only (the first
+# ceil(n_theta/2), the equator included when n_theta is odd), stored as a
+# contiguous (m, l, t) array so that each m is one (band_width, n_half) matrix.
+# The southern rows follow from the parity N_l^m(-x) = (-1)^(l+m) N_l^m(x) on
+# the mirror-symmetric nodes of build_grid: split every coefficient column by
+# the parity of l + m, contract both halves against the northern table in one
+# batched matmul, and read the north as even + odd, the south as even - odd.
 
 _TABLE_CACHE: dict[tuple, np.ndarray] = {}
 
 
+def band_table_bytes(spec: FieldSpec, n_theta: int) -> int:
+    """Bytes of ``band_table(spec, grid)`` on a grid with n_theta colatitudes."""
+    return 8 * (spec.n + 1) * spec.band_width * ((n_theta + 1) // 2)
+
+
 def band_table(spec: FieldSpec, grid: SphereGrid) -> np.ndarray:
-    """Normalized associated-Legendre table for the band on the grid nodes,
-    shape (band_width, n + 1, n_theta).  Cached per (band, grid geometry);
-    build it before forking workers so they share one copy."""
+    """Normalized associated-Legendre table of the band on the northern grid
+    nodes, shape (n + 1, band_width, ceil(n_theta / 2)), entry [m, l - ell_min, t]
+    = N_l^m(cos_nodes[t]).  Cached per (band, grid geometry); build it before
+    forking workers so they share one copy."""
     key = (spec.ell_min, spec.n, grid.n_theta, grid.n_phi)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = assoc_legendre_band(spec.ell_min, spec.n, grid.cos_nodes)
+        north = grid.cos_nodes[: (grid.n_theta + 1) // 2]
+        table = np.ascontiguousarray(
+            assoc_legendre_band(spec.ell_min, spec.n, north).transpose(1, 0, 2)
+        )
         _TABLE_CACHE[key] = table
     return table
 
@@ -162,18 +179,32 @@ def clear_table_cache() -> None:
     _TABLE_CACHE.clear()
 
 
-def _fourier_rows(coeffs: HarmonicCoefficients, table: np.ndarray):
-    """Per-theta cos/sin amplitudes A_m, B_m of the synthesized field."""
+def _fourier_rows(coeffs: HarmonicCoefficients, table: np.ndarray, n_theta: int) -> np.ndarray:
+    """Longitude half-spectrum of the realization on every colatitude, as an
+    (n + 1, 2, n_theta) array of real and imaginary parts of X_m(theta_t):
+
+        T(theta_t, phi) = Re sum_m w_m X_m(theta_t) exp(i m phi),
+        w_0 = 1, w_m = 2 (m > 0),
+
+    so X_0 = A_0 and X_m = (A_m - i B_m) / 2 for the cos/sin amplitudes of the
+    real harmonics; sqrt(2), 1/2 and sqrt(c_norm) are folded into the
+    coefficients before the contraction."""
     spec = coeffs.spec
     n = spec.n
-    cos_part = coeffs.matrix[:, n:]          # m >= 0 columns, [l, m]
-    sin_part = coeffs.matrix[:, n::-1]       # m <= 0 columns reversed: [l, |m|]
-    a = np.einsum("lm,lmt->tm", cos_part, table)
-    b = np.einsum("lm,lmt->tm", sin_part, table)
-    a[:, 1:] *= math.sqrt(2.0)
-    b[:, 1:] *= math.sqrt(2.0)
-    b[:, 0] = 0.0
-    return a, b
+    scale = np.full(n + 1, math.sqrt(0.5 * spec.c_norm))
+    scale[0] = math.sqrt(spec.c_norm)
+    parts = np.stack((coeffs.matrix[:, n:] * scale, coeffs.matrix[:, n::-1] * -scale))  # [re/im, l, m]
+    parts[1, :, 0] = 0.0  # no sin term at m = 0
+    ell = np.arange(spec.ell_min, n + 1)
+    odd = parts * ((ell[:, None] + np.arange(n + 1)) % 2)
+    split = np.concatenate((parts - odd, odd)).transpose(2, 0, 1)  # [m, (re, im) x (even, odd), l]
+    rows = np.matmul(np.ascontiguousarray(split), table)  # [m, 4, northern t]
+    north = table.shape[2]
+    south = n_theta // 2
+    amp = np.empty((n + 1, 2, n_theta))
+    np.add(rows[:, :2], rows[:, 2:], out=amp[:, :, :north])
+    np.subtract(rows[:, :2, :south], rows[:, 2:, :south], out=amp[:, :, north:][:, :, ::-1])
+    return amp
 
 
 def synthesize(
@@ -181,10 +212,10 @@ def synthesize(
 ) -> FieldSample:
     """Evaluate the realization on all grid nodes.
 
-    Works separably: accumulate per-colatitude Fourier amplitudes over the
-    band, then evaluate the longitude trigonometric sum, by real FFT when the
-    longitude count allows it and by direct cos/sin products otherwise.  The
-    two paths agree to ~1e-12.
+    Works separably: contract the coefficients against the band table into
+    per-colatitude Fourier amplitudes, then evaluate the longitude
+    trigonometric sum, by real FFT when the longitude count allows it and by
+    direct cos/sin products otherwise.  The two paths agree to ~1e-12.
     """
     spec = coeffs.spec
     if grid.exact_degree < spec.n:
@@ -193,25 +224,25 @@ def synthesize(
         )
     if method not in ("auto", "fft", "direct"):
         raise ValueError(f"unknown synthesis method {method!r}")
-    table = band_table(spec, grid)
-    a, b = _fourier_rows(coeffs, table)
+    amp = _fourier_rows(coeffs, band_table(spec, grid), grid.n_theta)
     n = spec.n
     if method == "auto":
         method = "fft" if grid.n_phi >= 2 * n + 2 else "direct"
     if method == "fft":
         if grid.n_phi < 2 * n + 2:
             raise ValueError("n_phi too small for alias-free FFT synthesis")
-        spectrum = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
-        spectrum[:, : n + 1] = 0.5 * (a - 1j * b)
-        spectrum[:, 0] = a[:, 0]
-        values = np.fft.irfft(spectrum, n=grid.n_phi, axis=1) * grid.n_phi
+        # irfft zero-pads the half-spectrum from m = n + 1 to n_phi / 2 itself,
+        # and the amplitudes are freed before it allocates the field: both
+        # keep the peak memory of a replicate down
+        spectrum = np.empty((grid.n_theta, n + 1), dtype=complex)
+        spectrum.view(float).reshape(grid.n_theta, n + 1, 2)[...] = amp.transpose(2, 0, 1)
+        del amp
+        values = np.fft.irfft(spectrum, n=grid.n_phi, axis=1, norm="forward")
     else:
-        phi = grid.phi_nodes
-        marange = np.arange(n + 1)
-        cosm = np.cos(np.outer(marange, phi))
-        sinm = np.sin(np.outer(marange, phi))
-        values = a @ cosm + b @ sinm
-    values *= math.sqrt(spec.c_norm)
+        mphi = np.outer(np.arange(n + 1), grid.phi_nodes)
+        weight = np.full((n + 1, 1), 2.0)
+        weight[0] = 1.0
+        values = amp[:, 0].T @ (weight * np.cos(mphi)) - amp[:, 1].T @ (weight * np.sin(mphi))
     return FieldSample(spec=spec, grid=grid, values=values)
 
 

@@ -75,18 +75,43 @@ class SphereGrid:
         return self.n_theta * self.n_phi
 
 
+def theta_count(target_degree: int) -> int:
+    """Gauss-Legendre colatitude count of ``build_grid(target_degree)``."""
+    return (target_degree + 2) // 2  # ceil((d+1)/2)
+
+
+def fft_length(minimum: int) -> int:
+    """Smallest even 5-smooth integer >= minimum: a longitude count whose
+    real FFT factors into radix-2/3/5 passes only."""
+    length = max(2, minimum + minimum % 2)
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 2
+
+
 def build_grid(target_degree: int) -> SphereGrid:
     """Smallest product grid integrating spherical polynomials of the target
-    degree exactly.  n_phi is rounded up to an even count."""
+    degree exactly.  n_phi is the smallest even 5-smooth count >= degree + 1,
+    so the longitude FFT never runs at a length with a large prime factor.
+
+    The colatitudes are mirror-symmetric about the equator bit for bit
+    (cos_nodes[-1 - j] == -cos_nodes[j]); field synthesis relies on it to
+    evaluate the southern rows from the northern Legendre table."""
     if target_degree < 1:
         raise ValueError(f"target_degree must be >= 1, got {target_degree}")
-    n_theta = (target_degree + 2) // 2  # ceil((d+1)/2)
-    n_phi = target_degree + 1
-    if n_phi % 2:
-        n_phi += 1
+    n_theta = theta_count(target_degree)
+    n_phi = fft_length(target_degree + 1)
     x, w = gauss_legendre_nodes(n_theta)
     order = np.argsort(-x)  # descending x = ascending theta
     x, w = x[order], w[order]
+    south = n_theta // 2
+    x = np.concatenate((x[:south], [0.0] * (n_theta % 2), -x[:south][::-1]))
+    w = np.concatenate((w[: n_theta - south], w[:south][::-1]))
     return SphereGrid(
         n_theta=n_theta,
         n_phi=n_phi,
@@ -112,4 +137,10 @@ def integrate(grid: SphereGrid, values: np.ndarray) -> float:
             f"values shape {values.shape} does not match grid "
             f"({grid.n_theta}, {grid.n_phi})"
         )
-    return float(np.dot(grid.theta_weights, rows) * (2.0 * math.pi / grid.n_phi))
+    return float(integrate_rows(grid, rows))
+
+
+def integrate_rows(grid: SphereGrid, rows: np.ndarray):
+    """Quadrature from per-colatitude longitude sums: ``rows[..., i]`` is the
+    sum over the longitudes of row i.  Reduces the last axis."""
+    return np.dot(rows, grid.theta_weights) * (2.0 * math.pi / grid.n_phi)

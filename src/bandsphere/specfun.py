@@ -175,27 +175,36 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     return out
 
 
-def jacobi_p10(n: int, x: np.ndarray | float) -> np.ndarray | float:
+def jacobi_p10(n, x: np.ndarray | float) -> np.ndarray | float:
     """Jacobi polynomial P_n^(1,0)(x) by three-term recurrence, vectorized in x.
 
     Satisfies P_0 = 1, P_1 = (3x+1)/2 and
     (n+1)(2n-1) P_n = [(2n+1)(2n-1)x + 1] P_{n-1} - (n-1)(2n+1) P_{n-2}.
+
+    ``n`` may also be a sequence of degrees: the recurrence then runs once, to
+    the highest, and the result has one row per degree.
     """
-    if n < 0:
+    degrees = np.atleast_1d(np.asarray(n, dtype=int))
+    if degrees.min() < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("Jacobi argument must lie in [-1, 1]")
+    wanted = set(degrees.tolist())
     p_prev = np.ones_like(x)
-    if n == 0:
-        return float(p_prev[0]) if scalar else p_prev
     p_cur = (3.0 * x + 1.0) / 2.0
-    for k in range(2, n + 1):
+    found = {k: p for k, p in ((0, p_prev), (1, p_cur)) if k in wanted}
+    for k in range(2, int(degrees.max()) + 1):
         p_prev, p_cur = p_cur, (
             ((2 * k + 1) * (2 * k - 1) * x + 1.0) * p_cur - (k - 1) * (2 * k + 1) * p_prev
         ) / ((k + 1) * (2 * k - 1))
-    return float(p_cur[0]) if scalar else p_cur
+        if k in wanted:
+            found[k] = p_cur
+    if np.ndim(n) == 0:
+        return float(found[int(n)][0]) if scalar else found[int(n)]
+    out = np.stack([found[d] for d in degrees.tolist()])
+    return out[:, 0] if scalar else out
 
 
 def _j1_series(x: np.ndarray) -> np.ndarray:

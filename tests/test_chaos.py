@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bandsphere import chaos as ch
 from bandsphere import experiments as ex
 from bandsphere import field as fm
-from bandsphere.grid import build_grid
-from bandsphere.specfun import FOUR_PI, gaussian_cdf, jq_coefficient
+from bandsphere.grid import build_grid, integrate
+from bandsphere.specfun import FOUR_PI, gaussian_cdf, hermite_all, jq_coefficient
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +200,22 @@ def test_excursion_between_thresholds_property(u):
     area = ch.excursion_area(sample, u).area
     assert 0.0 <= area <= FOUR_PI
     assert ch.excursion_area(sample, u - 0.5).area >= area
+
+
+@pytest.mark.parametrize("spec", [fm.make_spec(20, 0.5), fm.full_band_spec(10)], ids=["band", "full_band"])
+def test_chaos_integrals_match_hermite_quadrature(spec):
+    grid = build_grid(6 * spec.n + 1)
+    for r in range(3):
+        sample = fm.synthesize(fm.sample_coefficients(spec, fm.replicate_rng(8, r)), grid)
+        got = ch.chaos_integrals(sample, 6)
+        expected = [integrate(grid, hq) for hq in hermite_all(6, sample.values)]
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+def test_excursion_area_matches_indicator_quadrature():
+    spec = fm.make_spec(20, 0.5)
+    grid = build_grid(4 * spec.n)
+    sample = fm.synthesize(fm.sample_coefficients(spec, fm.replicate_rng(4, 0)), grid)
+    for u in (-2.0, -0.5, 0.0, 1.0, 2.5):
+        expected = integrate(grid, (sample.values > u).astype(float))
+        assert abs(ch.excursion_area(sample, u).area - expected) <= 1e-12

@@ -176,3 +176,41 @@ def test_help_lists_defaults(capsys):
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "default" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "64", "--beta", "0.5"],
+    ["excursion", "--n", "64", "--beta", "0.5", "--replicates", "100"],
+    ["clt", "--n", "64", "--beta", "0.5", "--replicates", "500"],
+    ["scaling", "--n", "16,32,64", "--beta", "0.5", "--replicates", "100"],
+    ["chaos", "--n", "16,32,64", "--beta", "0.5", "--replicates", "100", "--q-max", "2"],
+])
+def test_memory_preflight_refuses_table_larger_than_memory(tmp_path, monkeypatch, capsys, argv):
+    from bandsphere import cli, experiments, field
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the pre-flight must stop the run before it starts")
+
+    monkeypatch.setattr(experiments, "run_variance_sweep", no_sweep)
+    monkeypatch.setattr(cli, "synthesize", no_sweep)
+    # n = 64 at beta 0.5, oversample 4: 8 * 5 * 65 * 65 = 169000 bytes
+    need = field.band_table_bytes(field.make_spec(64, 0.5), 129)
+    assert need == 169_000
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need - 1)
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_preflight_passes_fitting_and_direct_runs(tmp_path, monkeypatch):
+    from bandsphere import cli, field
+
+    need = field.band_table_bytes(field.make_spec(12, 0.5), 25)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need)
+    assert run_cli(["simulate", "--n", "12", "--beta", "0.5", "--out", str(tmp_path / "f.csv")]) == 0
+    # h2-direct synthesizes no field, so no table limits it
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 0)
+    rc = run_cli(["excursion", "--mode", "h2-direct", "--n", "100", "--beta", "0.5",
+                  "--replicates", "20000", "--seed", "42", "--out", str(tmp_path / "e.json")])
+    assert rc == 0

@@ -165,3 +165,17 @@ def test_profile_csv_roundtrip_bit_exact():
                 assert math.isnan(arr[i])
             else:
                 assert float(text) == arr[i]  # 17 significant digits round-trip
+
+
+def test_gamma_cd_one_pass_matches_two_recurrences():
+    from bandsphere.specfun import jacobi_p10
+
+    rng = np.random.default_rng(23)
+    for spec in (fm.make_spec(64, 0.5), fm.make_spec(1600, 0.5), fm.single_ell_spec(30), fm.full_band_spec(25)):
+        th = rng.uniform(0.0, math.pi, 300)
+        x = np.cos(th)
+        two_pass = (spec.n + 1) * jacobi_p10(spec.n, x)
+        if spec.ell_min >= 1:
+            two_pass = two_pass - spec.ell_min * jacobi_p10(spec.ell_min - 1, x)
+        two_pass *= spec.c_norm / (4.0 * math.pi)
+        assert np.abs(cv.gamma_cd(spec, th) - two_pass).max() <= 1e-13

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bandsphere import experiments as ex
-from bandsphere.chaos import h2_variance_formula
-from bandsphere.field import make_spec
+from bandsphere.chaos import chaos_integrals, h2_variance_formula
+from bandsphere.field import make_spec, replicate_rng, sample_coefficients, synthesize
+from bandsphere.grid import build_grid
 
 
 def test_config_validation():
@@ -196,3 +197,26 @@ def test_replicate_csv_direct_mode(tmp_path):
     header = lines[0].split(",")
     assert header == ["replicate", "seed", "u", "area", "h1", "h2_quad", "h2_exact", "h3", "h4"]
     assert row[3] == "" and row[6] != ""
+
+
+def test_chaos_sweep_grid_resolves_q_max():
+    # oversample 2 alone gives a degree-2n grid, on which H_3 and H_4 of a
+    # degree-n field are not integrated exactly; the sweep must raise the
+    # grid degree to q_max * n
+    n, q_max = 64, 4
+    cfg = ex.ExperimentConfig(n_list=(n,), beta=0.5, replicates=100, master_seed=20260808,
+                              oversample=2.0, q_max=q_max)
+    h = ex.run_variance_sweep(cfg).replicate_data[n]["h"]
+    spec = make_spec(n, 0.5)
+    grid = build_grid(q_max * n)
+    for r in range(cfg.replicates):
+        coeffs = sample_coefficients(spec, replicate_rng(cfg.master_seed, n, r))
+        redo = chaos_integrals(synthesize(coeffs, grid), q_max)
+        assert np.abs(h[r, 3:] - redo[3:]).max() <= 1e-10
+
+
+def test_grid_degree_floor():
+    assert ex.grid_degree(64, 4.0, 2) == 256
+    assert ex.grid_degree(64, 2.0, 4) == 256
+    assert ex.grid_degree(64, 2.0) == 128
+    assert ex.grid_degree(10, 2.55, 2) == 26

@@ -196,3 +196,52 @@ def test_field_csv_dump(tmp_path):
     i, j, v = lines[2].split(",")
     assert (int(i), int(j)) == (0, 0)
     assert float(v) == sample.values[0, 0]
+
+
+def full_node_sum(coeffs, grid):
+    """Reference synthesis: the whole band table on every grid node and a
+    direct cos/sin sum over m, with no parity split and no FFT."""
+    spec = coeffs.spec
+    n = spec.n
+    table = sf.assoc_legendre_band(spec.ell_min, n, grid.cos_nodes)  # [l, m, t]
+    a = np.einsum("lm,lmt->tm", coeffs.matrix[:, n:], table)
+    b = np.einsum("lm,lmt->tm", coeffs.matrix[:, n::-1], table)
+    mphi = np.outer(np.arange(n + 1), grid.phi_nodes)
+    values = a[:, :1] + math.sqrt(2.0) * (a[:, 1:] @ np.cos(mphi[1:]) + b[:, 1:] @ np.sin(mphi[1:]))
+    return math.sqrt(spec.c_norm) * values
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fm.make_spec(20, 0.5),
+    lambda: fm.make_spec(17, 0.3, band_rounding="floor"),
+    lambda: fm.full_band_spec(12),
+    lambda: fm.single_ell_spec(15),
+], ids=["make_spec", "make_spec_floor", "full_band", "single_ell"])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_synthesize_matches_full_node_sum(make, extra):
+    # grid degrees 2n..2n+3 give both parities of n_theta
+    spec = make()
+    grid = build_grid(2 * spec.n + extra)
+    coeffs = fm.sample_coefficients(spec, fm.replicate_rng(31, spec.n, extra))
+    expected = full_node_sum(coeffs, grid)
+    for method in ("fft", "direct"):
+        values = fm.synthesize(coeffs, grid, method=method).values
+        assert np.abs(values - expected).max() <= 1e-12
+
+
+def test_band_table_is_northern_half():
+    for spec, degree in ((fm.make_spec(40, 0.5), 160), (fm.make_spec(40, 0.5), 161), (fm.full_band_spec(9), 36)):
+        grid = build_grid(degree)
+        table = fm.band_table(spec, grid)
+        north = (grid.n_theta + 1) // 2
+        assert table.shape == (spec.n + 1, spec.band_width, north)
+        assert table.flags.c_contiguous
+        assert table.nbytes == fm.band_table_bytes(spec, grid.n_theta)
+        assert table.nbytes == 8 * spec.band_width * (spec.n + 1) * math.ceil(grid.n_theta / 2)
+        full = sf.assoc_legendre_band(spec.ell_min, spec.n, grid.cos_nodes)
+        assert np.array_equal(table, full[:, :, :north].transpose(1, 0, 2))
+        # parity on the mirrored southern nodes: N_l^m(-x) = (-1)^(l+m) N_l^m(x)
+        ell = np.arange(spec.ell_min, spec.n + 1)
+        sign = (-1.0) ** (ell[:, None] + np.arange(spec.n + 1))
+        south = full[:, :, ::-1][:, :, :north]
+        assert np.abs(south - sign[:, :, None] * full[:, :, :north]).max() <= 1e-13

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandsphere import specfun as sf
-from bandsphere.grid import SphereGrid, build_grid, gauss_legendre_nodes, integrate
+from bandsphere.grid import SphereGrid, build_grid, fft_length, gauss_legendre_nodes, integrate
 
 FOUR_PI = 4 * math.pi
 
@@ -126,3 +126,35 @@ def test_area_property(degree):
     g = build_grid(degree)
     assert abs(g.quad_weights.sum() - FOUR_PI) <= 1e-10
     assert g.theta_nodes.min() > 0 and g.theta_nodes.max() < math.pi
+
+
+def is_5_smooth(k: int) -> bool:
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def test_n_phi_is_minimal_even_5_smooth():
+    for minimum in range(1, 5000):
+        length = fft_length(minimum)
+        assert length % 2 == 0 and is_5_smooth(length) and length >= minimum
+        assert not any(is_5_smooth(k) for k in range(minimum + minimum % 2, length, 2))
+    for degree in (1, 2, 9, 10, 33, 301):
+        assert build_grid(degree).n_phi == fft_length(degree + 1)
+    assert [build_grid(4 * n).n_phi for n in (64, 128, 256, 512)] == [270, 540, 1080, 2160]
+
+
+def test_exact_degree_unchanged_by_longitude_rounding():
+    # the colatitude rule sets exact_degree, as it did with n_phi = degree + 1
+    # rounded up to even
+    for degree in range(1, 120):
+        g = build_grid(degree)
+        assert g.exact_degree == 2 * g.n_theta - 1 == degree + 1 - degree % 2
+
+
+def test_nodes_mirror_symmetric():
+    for degree in (1, 2, 7, 8, 100, 101, 256, 2048):
+        g = build_grid(degree)
+        assert np.array_equal(g.cos_nodes[::-1], -g.cos_nodes)
+        assert np.array_equal(g.theta_weights[::-1], g.theta_weights)

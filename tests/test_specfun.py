@@ -315,3 +315,17 @@ def test_j2_at_one():
 
 def test_j3_vanishes_at_one():
     assert sf.jq_coefficient(3, 1.0) == pytest.approx(0.0, abs=1e-16)
+
+
+def test_jacobi_degree_sequence_matches_single_calls():
+    x = np.linspace(-1.0, 1.0, 41)
+    degrees = (7, 0, 30, 7, 1)
+    rows = sf.jacobi_p10(degrees, x)
+    assert rows.shape == (len(degrees), x.size)
+    for row, d in zip(rows, degrees):
+        assert np.array_equal(row, sf.jacobi_p10(d, x))
+    at_half = sf.jacobi_p10(degrees, 0.5)
+    assert at_half.shape == (len(degrees),)
+    assert [float(v) for v in at_half] == [sf.jacobi_p10(d, 0.5) for d in degrees]
+    with pytest.raises(ValueError):
+        sf.jacobi_p10((3, -1), 0.0)
