@@ -7,10 +7,8 @@ experiments for the high-frequency variance scaling and CLT.
 
 from .chaos import (
     ChaosProjection,
-    ChaosVariancePrediction,
     ExcursionResult,
     chaos_projection,
-    chaos_variance_prediction,
     excursion_area,
     h2_exact_from_coeffs,
     h2_sample_direct,
@@ -27,10 +25,12 @@ from .covariance import (
     theta_to_psi,
 )
 from .experiments import (
+    ChaosVariancePrediction,
     ExperimentConfig,
     ExperimentResult,
     SweepRow,
     chaos_dominance_report,
+    chaos_variance_prediction,
     clt_test,
     dof_scaling_exponent,
     fit_scaling_exponent,

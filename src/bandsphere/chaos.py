@@ -12,15 +12,14 @@ indistinguishable in law.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldSample, FieldSpec, HarmonicCoefficients, replicate_rng, sample_coefficients, synthesize
-from .grid import SphereGrid, build_grid, integrate_rows
-from .specfun import FOUR_PI, gaussian_pdf, jq_coefficient
+from .field import FieldSample, FieldSpec, HarmonicCoefficients
+from .grid import integrate_rows
+from .specfun import FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -115,71 +114,3 @@ def h2_sample_direct(spec: FieldSpec, rng: np.random.Generator, size: int | None
     without synthesizing a field."""
     draws = rng.chisquare(spec.dof, size=size)
     return spec.c_norm * draws - FOUR_PI
-
-
-@dataclass(frozen=True)
-class ChaosVarianceRow:
-    q: int
-    weight: float          # J_q(u)^2 / q!^2
-    var_hq: float          # exact formula for q = 2, Monte Carlo estimate otherwise
-    contribution: float    # weight * var_hq
-    method: str
-
-
-@dataclass(frozen=True)
-class ChaosVariancePrediction:
-    spec: FieldSpec
-    u: float
-    leading_term: float    # u^2 phi(u)^2 / 4 * 2 (4 pi)^2 / D
-    rows: tuple[ChaosVarianceRow, ...]
-    var_s_hat: float | None
-
-
-def chaos_variance_prediction(
-    spec: FieldSpec,
-    u: float,
-    q_max: int,
-    replicates: int = 0,
-    master_seed: int = 0,
-    grid: SphereGrid | None = None,
-) -> ChaosVariancePrediction:
-    """Predicted per-chaos contributions to Var(area).
-
-    The q = 2 row uses the exact chi-square variance; rows q >= 3 are Monte
-    Carlo estimates over ``replicates`` synthesized fields (skipped when
-    replicates == 0).  The leading term is u^2 phi(u)^2/4 * 2 (4 pi)^2 / D.
-    """
-    if q_max < 2:
-        raise ValueError(f"q_max must be >= 2, got {q_max}")
-    phi_u = float(gaussian_pdf(u))
-    leading = (u * phi_u) ** 2 / 4.0 * h2_variance_formula(spec)
-    rows = [
-        ChaosVarianceRow(
-            q=2,
-            weight=jq_coefficient(2, u) ** 2 / 4.0,
-            var_hq=h2_variance_formula(spec),
-            contribution=jq_coefficient(2, u) ** 2 / 4.0 * h2_variance_formula(spec),
-            method="coefficient_exact",
-        )
-    ]
-    var_s_hat = None
-    if replicates > 0 and q_max >= 3:
-        if grid is None:
-            grid = build_grid(q_max * spec.n)
-        elif grid.exact_degree < q_max * spec.n:
-            warnings.warn("prediction grid does not resolve degree q_max * n", stacklevel=2)
-        h = np.empty((replicates, q_max + 1))
-        areas = np.empty(replicates)
-        for r in range(replicates):
-            rng = replicate_rng(master_seed, spec.n, r)
-            sample = synthesize(sample_coefficients(spec, rng), grid)
-            h[r] = chaos_integrals(sample, q_max)
-            areas[r] = excursion_area(sample, u, replicate_id=r).area
-        var_s_hat = float(areas.var(ddof=1))
-        for q in range(3, q_max + 1):
-            w = jq_coefficient(q, u) ** 2 / math.factorial(q) ** 2
-            v = float(h[:, q].var(ddof=1))
-            rows.append(ChaosVarianceRow(q=q, weight=w, var_hq=v, contribution=w * v, method="quadrature"))
-    return ChaosVariancePrediction(
-        spec=spec, u=u, leading_term=leading, rows=tuple(rows), var_s_hat=var_s_hat
-    )

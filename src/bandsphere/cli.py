@@ -47,24 +47,29 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-_CONVERTERS = {
-    "n": int,
-    "n_list": _int_list,
-    "beta": float,
-    "u": float,
-    "replicates": int,
-    "seed": int,
-    "oversample": float,
-    "mode": str,
-    "q_max": int,
-    "workers": int,
-    "points": int,
-    "psi_min": float,
-    "psi_max": float,
-    "epsilon": float,
-    "out": str,
-    "format": str,
-    "band_rounding": str,
+_MODES = ("field-full", "h2-direct", "field_full", "h2_direct")
+_MODE_ALIASES = {"field-full": "field_full", "h2-direct": "h2_direct"}
+
+# every setting a flag or a config file can give: key -> (type, help, choices).
+# The flag is --key with dashes, except n_list, which the sweeps over n take as --n.
+_FLAGS = {
+    "n": (int, "top frequency of the band", None),
+    "n_list": (_int_list, "comma-separated top frequencies, e.g. 64,128,256", None),
+    "beta": (float, "bandwidth exponent in (0, 1)", None),
+    "seed": (int, f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})", None),
+    "band_rounding": (str, "rounding of the band edge alpha*n", ("ceil", "floor")),
+    "out": (str, "output path (default: stdout)", None),
+    "u": (float, "threshold", None),
+    "replicates": (int, "Monte Carlo replicates per n", None),
+    "mode": (str, "full synthesis or direct chi-square draws", _MODES),
+    "oversample": (float, "grid degree / n", None),
+    "q_max": (int, "highest chaos order", None),
+    "workers": (int, "parallel workers; output-invariant", None),
+    "format": (str, "report or replicate CSV", ("json", "csv")),
+    "points": (int, "number of psi grid points", None),
+    "psi_min": (float, "lower psi", None),
+    "psi_max": (float, "upper psi (default: alpha*n*(pi - epsilon))", None),
+    "epsilon": (float, "polar-cap exclusion", None),
 }
 
 
@@ -80,10 +85,10 @@ def _read_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _CONVERTERS:
+                if key not in _FLAGS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONVERTERS[key](val.strip())
+                    values[key] = _FLAGS[key][0](val.strip())
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     except OSError as exc:
@@ -92,8 +97,9 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """Merge CLI flags over config-file values over defaults, and check that
+    the band is given."""
+    file_values = _read_config_file(args.config) if args.config else {}
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -103,8 +109,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = file_values[key]
         else:
             resolved[key] = default
-    if resolved.get("seed") is None:
+    if resolved["seed"] is None:
         resolved["seed"] = _default_seed()
+    if resolved.get("n", resolved.get("n_list")) is None or resolved["beta"] is None:
+        raise UsageError(f"{args.command} requires --n and --beta")
+    if "mode" in resolved:
+        resolved["mode"] = _MODE_ALIASES.get(resolved["mode"], resolved["mode"])
     return resolved
 
 
@@ -127,28 +137,46 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _experiment_config(resolved: dict, n_list: tuple[int, ...], mode: str) -> ex.ExperimentConfig:
+def _make_spec(r: dict):
+    try:
+        return make_spec(r["n"], r["beta"], r["band_rounding"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _experiment_config(r: dict) -> ex.ExperimentConfig:
     try:
         return ex.ExperimentConfig(
-            n_list=n_list,
-            beta=resolved["beta"],
-            u=resolved["u"],
-            replicates=resolved["replicates"],
-            master_seed=resolved["seed"],
-            oversample=resolved["oversample"],
-            mode=mode,
-            q_max=resolved["q_max"],
-            workers=resolved["workers"],
-            band_rounding=resolved["band_rounding"],
+            n_list=r["n_list"] if "n_list" in r else (r["n"],),
+            beta=r["beta"],
+            u=r["u"],
+            replicates=r["replicates"],
+            master_seed=r["seed"],
+            oversample=r["oversample"],
+            mode=r.get("mode", "field_full"),
+            q_max=r["q_max"],
+            workers=r["workers"],
+            band_rounding=r["band_rounding"],
         )
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
+def _sweep(r: dict) -> ex.ExperimentResult:
+    """Config, memory pre-flight and variance sweep of excursion, scaling and clt."""
+    config = _experiment_config(r)
+    _check_sweep_fits(config, config.q_max)
+    return ex.run_variance_sweep(config)
+
+
+def _config_payload(r: dict) -> dict:
+    return {**_echo_config(r), "master_seed": r["seed"]}
+
+
 def _report_payload(resolved: dict, result: ex.ExperimentResult, flags: dict) -> dict:
     body = ex.result_to_dict(result)
     return {
-        "config": {**_echo_config(resolved), "master_seed": resolved["seed"]},
+        "config": _config_payload(resolved),
         "rows": body["rows"],
         "fitted_exponent": body["fitted_exponent"],
         "exponent_ci": body["exponent_ci"],
@@ -188,108 +216,55 @@ def _check_sweep_fits(config: ex.ExperimentConfig, q_max: int) -> None:
     _check_table_fits(spec, ex.grid_degree(n, config.oversample, q_max))
 
 
-# --- subcommands --------------------------------------------------------------
+# --- subcommands: each takes the resolved settings ----------------------------
 
-def cmd_covariance(args) -> int:
-    defaults = {
-        "n": None, "beta": None, "points": 500, "psi_min": 0.0, "psi_max": None,
-        "epsilon": 0.1, "out": None, "seed": None, "band_rounding": "ceil",
-    }
-    r = _resolve(args, defaults)
-    if r["n"] is None or r["beta"] is None:
-        raise UsageError("covariance requires --n and --beta")
+def cmd_covariance(r: dict) -> int:
     if not 0.0 < r["epsilon"] < math.pi:
         raise UsageError(f"epsilon must lie in (0, pi), got {r['epsilon']}")
     if r["points"] < 2:
         raise UsageError("need at least 2 grid points")
-    try:
-        spec = make_spec(r["n"], r["beta"], r["band_rounding"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = _make_spec(r)
     psi_max = r["psi_max"] if r["psi_max"] is not None else cov.lemma1_window(spec, r["epsilon"])[1]
     if not 0.0 <= r["psi_min"] < psi_max:
         raise UsageError("need 0 <= psi_min < psi_max")
     psi = np.linspace(r["psi_min"], psi_max, r["points"])
     prof = cov.profile(spec, psi, epsilon=r["epsilon"])
-    resolved = dict(r, psi_max=psi_max)
-    if r["out"]:
-        cov.write_profile_csv(prof, r["out"], header_lines=_header_lines(resolved))
-    else:
-        cov.write_profile_csv(prof, sys.stdout, header_lines=_header_lines(resolved))
+    cov.write_profile_csv(prof, r["out"] or sys.stdout, header_lines=_header_lines(dict(r, psi_max=psi_max)))
     return 0
 
 
-def cmd_simulate(args) -> int:
-    defaults = {
-        "n": None, "beta": None, "seed": None, "oversample": 4.0, "out": None,
-        "band_rounding": "ceil",
-    }
-    r = _resolve(args, defaults)
-    if r["n"] is None or r["beta"] is None:
-        raise UsageError("simulate requires --n and --beta")
+def cmd_simulate(r: dict) -> int:
     if r["oversample"] < 1.0:
         raise UsageError("oversample must be >= 1")
-    try:
-        spec = make_spec(r["n"], r["beta"], r["band_rounding"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = _make_spec(r)
     degree = ex.grid_degree(spec.n, r["oversample"])
     _check_table_fits(spec, degree)
-    grid = build_grid(degree)
-    sample = synthesize(sample_coefficients(spec, replicate_rng(r["seed"], spec.n, 0)), grid)
-    if r["out"]:
-        write_field_csv(sample, r["out"], header_lines=_header_lines(r))
-    else:
-        write_field_csv(sample, sys.stdout, header_lines=_header_lines(r))
+    sample = synthesize(sample_coefficients(spec, replicate_rng(r["seed"], spec.n, 0)), build_grid(degree))
+    write_field_csv(sample, r["out"] or sys.stdout, header_lines=_header_lines(r))
     return 0
 
 
-_MODE_ALIASES = {"field-full": "field_full", "h2-direct": "h2_direct"}
-
-
-def cmd_excursion(args) -> int:
-    defaults = {
-        "n": None, "beta": None, "u": 1.0, "replicates": 2000, "seed": None,
-        "oversample": 4.0, "mode": "field_full", "q_max": 4, "workers": 1,
-        "out": None, "format": "json", "band_rounding": "ceil",
-    }
-    r = _resolve(args, defaults)
-    if r["n"] is None or r["beta"] is None:
-        raise UsageError("excursion requires --n and --beta")
-    mode = _MODE_ALIASES.get(r["mode"], r["mode"])
-    r["mode"] = mode
-    config = _experiment_config(r, (r["n"],), mode)
-    _check_sweep_fits(config, config.q_max)
-    result = ex.run_variance_sweep(config)
+def cmd_excursion(r: dict) -> int:
+    result = _sweep(r)
     row = result.rows[0]
     if row.error is not None:
         sys.stderr.write(f"excursion failed: {row.error}\n")
         return 1
     flags = {}
     flags["var_h2_ok"] = abs(row.var_h2_hat - row.var_h2_exact_formula) <= 3.0 * row.var_h2_se
-    if mode == "field_full":
+    if r["mode"] == "field_full":
         target = FOUR_PI * (1.0 - gaussian_cdf(r["u"]))
         flags["mean_area_ok"] = abs(row.mean_s_hat - target) <= 3.0 * row.mean_s_se
     if r["format"] == "csv":
-        out = r["out"]
         header = _header_lines(r) + tuple(f"flag {k} = {v}" for k, v in sorted(flags.items()))
-        ex.write_replicate_csv(result, r["n"], out if out else sys.stdout, header_lines=header)
+        ex.write_replicate_csv(result, r["n"], r["out"] or sys.stdout, header_lines=header)
     else:
         _emit_json(_report_payload(r, result, flags), r["out"])
     return 0 if all(flags.values()) else 1
 
 
-def cmd_scaling(args) -> int:
-    defaults = {
-        "n_list": None, "beta": None, "u": 1.0, "replicates": 2000, "seed": None,
-        "oversample": 4.0, "q_max": 2, "workers": 1, "out": None, "band_rounding": "ceil",
-    }
-    r = _resolve(args, defaults)
-    if r["n_list"] is None or r["beta"] is None:
-        raise UsageError("scaling requires --n and --beta")
-    config = _experiment_config(r, tuple(r["n_list"]), "field_full")
-    _check_sweep_fits(config, config.q_max)
-    result = ex.run_variance_sweep(config)
+def cmd_scaling(r: dict) -> int:
+    result = _sweep(r)
     flags = {"all_rows_ok": all(row.error is None for row in result.rows)}
     # the slope is judged against the exponent of the exact integer D(n) over
     # the fitted n; -(2 - beta) is only its large-n limit
@@ -300,7 +275,7 @@ def cmd_scaling(args) -> int:
         flags["slope_within_band"] = abs(result.fitted_exponent - target_finite_n) <= SLOPE_TOLERANCE
     else:
         flags["slope_within_band"] = False
-    payload = _report_payload(dict(r, n_list=list(r["n_list"])), result, flags)
+    payload = _report_payload(r, result, flags)
     payload["slope_target"] = -(2.0 - r["beta"])
     payload["slope_target_finite_n"] = target_finite_n
     payload["slope_tolerance"] = SLOPE_TOLERANCE
@@ -308,22 +283,10 @@ def cmd_scaling(args) -> int:
     return 0 if all(flags.values()) else 1
 
 
-def cmd_clt(args) -> int:
-    defaults = {
-        "n": None, "beta": None, "u": 1.0, "replicates": 2000, "seed": None,
-        "oversample": 4.0, "mode": "field_full", "q_max": 2, "workers": 1,
-        "out": None, "band_rounding": "ceil",
-    }
-    r = _resolve(args, defaults)
-    if r["n"] is None or r["beta"] is None:
-        raise UsageError("clt requires --n and --beta")
+def cmd_clt(r: dict) -> int:
     if r["replicates"] < 500:
         raise UsageError("clt requires at least 500 replicates")
-    mode = _MODE_ALIASES.get(r["mode"], r["mode"])
-    r["mode"] = mode
-    config = _experiment_config(r, (r["n"],), mode)
-    _check_sweep_fits(config, config.q_max)
-    result = ex.run_variance_sweep(config)
+    result = _sweep(r)
     row = result.rows[0]
     if row.error is not None:
         sys.stderr.write(f"clt failed: {row.error}\n")
@@ -335,23 +298,12 @@ def cmd_clt(args) -> int:
     return 0 if all(flags.values()) else 1
 
 
-def cmd_chaos(args) -> int:
-    defaults = {
-        "n_list": None, "beta": None, "u": 1.0, "replicates": 2000, "seed": None,
-        "oversample": 4.0, "q_max": 4, "workers": 1, "out": None, "band_rounding": "ceil",
-    }
-    r = _resolve(args, defaults)
-    if r["n_list"] is None or r["beta"] is None:
-        raise UsageError("chaos requires --n and --beta")
-    config = _experiment_config(r, tuple(r["n_list"]), "field_full")
+def cmd_chaos(r: dict) -> int:
+    config = _experiment_config(r)
     _check_sweep_fits(config, max(config.q_max, 4))  # the report runs at q_max >= 4
-    try:
-        report = ex.chaos_dominance_report(config)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = ex.chaos_dominance_report(config)
     payload = {
-        "config": {**{k: (list(v) if isinstance(v, tuple) else v) for k, v in _echo_config(r).items()},
-                   "master_seed": r["seed"]},
+        "config": _config_payload(r),
         "rows": [ex.row_to_dict(row) for row in report.rows],
         "h2_normalized": {str(k): v for k, v in sorted(report.h2_normalized.items())},
         "q3_scaled": {str(k): v for k, v in sorted(report.q3_scaled.items())},
@@ -366,18 +318,28 @@ def cmd_chaos(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _add_common(p, *, n_as_list: bool):
-    p.add_argument("--config", help="flat key = value config file; flags override it")
-    if n_as_list:
-        p.add_argument("--n", dest="n_list", type=_int_list,
-                       help="comma-separated top frequencies, e.g. 64,128,256")
-    else:
-        p.add_argument("--n", type=int, help="top frequency of the band")
-    p.add_argument("--beta", type=float, help="bandwidth exponent in (0, 1)")
-    p.add_argument("--seed", type=int,
-                   help=f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    p.add_argument("--band-rounding", dest="band_rounding", choices=("ceil", "floor"),
-                   help="rounding of the band edge alpha*n (default: ceil)")
+_BAND = {"beta": None, "seed": None, "band_rounding": "ceil", "out": None}
+_MONTE_CARLO = {"u": 1.0, "replicates": 2000, "oversample": 4.0, "workers": 1}
+
+# name -> (handler, help, defaults); each default key is a setting of the
+# subcommand and, unless _NO_FLAG lists it, a flag whose help shows
+# "(default: X)" from the same value
+_SUBCOMMANDS = {
+    "covariance": (cmd_covariance, "emit the covariance profile CSV",
+                   {"n": None, **_BAND, "points": 500, "psi_min": 0.0, "psi_max": None, "epsilon": 0.1}),
+    "simulate": (cmd_simulate, "synthesize one realization and dump it as CSV",
+                 {"n": None, **_BAND, "oversample": 4.0}),
+    "excursion": (cmd_excursion, "excursion-area and h2 Monte Carlo at one n",
+                  {"n": None, **_BAND, **_MONTE_CARLO, "mode": "field_full", "q_max": 4, "format": "json"}),
+    "scaling": (cmd_scaling, "variance scaling sweep and log-log exponent fit",
+                {"n_list": None, **_BAND, **_MONTE_CARLO, "q_max": 2}),
+    "clt": (cmd_clt, "KS normality test of the standardized excursion area",
+            {"n": None, **_BAND, **_MONTE_CARLO, "mode": "field_full", "q_max": 2}),
+    "chaos": (cmd_chaos, "chaos-dominance diagnostics across n",
+              {"n_list": None, **_BAND, **_MONTE_CARLO, "q_max": 4}),
+}
+# settings that only a default or a config file gives: clt has no --q-max
+_NO_FLAG = {("clt", "q_max")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,75 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
         "simulation, and excursion-area Monte Carlo experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("covariance", help="emit the covariance profile CSV")
-    _add_common(p, n_as_list=False)
-    p.add_argument("--points", type=int, help="number of psi grid points (default: 500)")
-    p.add_argument("--psi-min", dest="psi_min", type=float, help="lower psi (default: 0)")
-    p.add_argument("--psi-max", dest="psi_max", type=float,
-                   help="upper psi (default: alpha*n*(pi - epsilon))")
-    p.add_argument("--epsilon", type=float, help="polar-cap exclusion (default: 0.1)")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.set_defaults(func=cmd_covariance)
-
-    p = sub.add_parser("simulate", help="synthesize one realization and dump it as CSV")
-    _add_common(p, n_as_list=False)
-    p.add_argument("--oversample", type=float, help="grid degree / n (default: 4)")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("excursion", help="excursion-area and h2 Monte Carlo at one n")
-    _add_common(p, n_as_list=False)
-    p.add_argument("--u", type=float, help="threshold (default: 1.0)")
-    p.add_argument("--replicates", type=int, help="Monte Carlo replicates (default: 2000)")
-    p.add_argument("--mode", choices=("field-full", "h2-direct", "field_full", "h2_direct"),
-                   help="full synthesis or direct chi-square draws (default: field-full)")
-    p.add_argument("--oversample", type=float, help="grid degree / n (default: 4)")
-    p.add_argument("--q-max", dest="q_max", type=int, help="highest chaos order (default: 4)")
-    p.add_argument("--workers", type=int, help="parallel workers; output-invariant (default: 1)")
-    p.add_argument("--format", choices=("json", "csv"), help="report or replicate CSV (default: json)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_excursion)
-
-    p = sub.add_parser("scaling", help="variance scaling sweep and log-log exponent fit")
-    _add_common(p, n_as_list=True)
-    p.add_argument("--u", type=float, help="threshold (default: 1.0)")
-    p.add_argument("--replicates", type=int, help="replicates per n (default: 2000)")
-    p.add_argument("--oversample", type=float, help="grid degree / n (default: 4)")
-    p.add_argument("--q-max", dest="q_max", type=int, help="highest chaos order (default: 2)")
-    p.add_argument("--workers", type=int, help="parallel workers (default: 1)")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser("clt", help="KS normality test of the standardized excursion area")
-    _add_common(p, n_as_list=False)
-    p.add_argument("--u", type=float, help="threshold (default: 1.0)")
-    p.add_argument("--replicates", type=int, help="replicates, >= 500 (default: 2000)")
-    p.add_argument("--mode", choices=("field-full", "h2-direct", "field_full", "h2_direct"),
-                   help="sample source (default: field-full)")
-    p.add_argument("--oversample", type=float, help="grid degree / n (default: 4)")
-    p.add_argument("--workers", type=int, help="parallel workers (default: 1)")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_clt)
-
-    p = sub.add_parser("chaos", help="chaos-dominance diagnostics across n")
-    _add_common(p, n_as_list=True)
-    p.add_argument("--u", type=float, help="threshold (default: 1.0)")
-    p.add_argument("--replicates", type=int, help="replicates per n (default: 2000)")
-    p.add_argument("--oversample", type=float, help="grid degree / n (default: 4)")
-    p.add_argument("--q-max", dest="q_max", type=int, help="highest chaos order (default: 4)")
-    p.add_argument("--workers", type=int, help="parallel workers (default: 1)")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_chaos)
-
+    for name, (_, help_text, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file; flags override it")
+        for key, default in defaults.items():
+            if (name, key) in _NO_FLAG:
+                continue
+            kind, text, choices = _FLAGS[key]
+            flag = "--n" if key == "n_list" else "--" + key.replace("_", "-")
+            if default is not None:
+                text = f"{text} (default: {default})"
+            p.add_argument(flag, dest=key, type=kind, choices=choices, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, defaults = _SUBCOMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_resolve(args, defaults))
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

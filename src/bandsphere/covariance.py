@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldSpec
+from .field import FieldSpec, write_csv
 from .specfun import FOUR_PI, bessel_j1, jacobi_p10, legendre_band_sum
 
 
@@ -224,29 +224,7 @@ def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1, c: float = 1.0) -> 
 def write_profile_csv(prof: CovarianceProfile, out, header_lines: tuple[str, ...] = ()) -> None:
     """CSV with columns psi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2; absent
     values are empty fields; 17 significant digits."""
-
-    def fmt(v: float) -> str:
-        return "" if math.isnan(v) else f"{v:.16e}"
-
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w")
-        close = True
-    try:
-        for line in header_lines:
-            out.write(f"# {line}\n")
-        out.write("psi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2\n")
-        for i in range(prof.psi.size):
-            cols = (
-                prof.psi[i],
-                prof.theta[i],
-                prof.exact[i],
-                prof.cd[i],
-                prof.hilb[i],
-                prof.lemma1_r1[i],
-                prof.lemma1_r2[i],
-            )
-            out.write(",".join(fmt(v) for v in cols) + "\n")
-    finally:
-        if close:
-            out.close()
+    arrays = (prof.psi, prof.theta, prof.exact, prof.cd, prof.hilb, prof.lemma1_r1, prof.lemma1_r2)
+    cols = [("" if v != v else f"{v:.16e}" for v in a) for a in arrays]  # v != v: NaN
+    names = ("psi", "theta", "exact", "cd", "hilb", "lemma1_r1", "lemma1_r2")
+    write_csv(out, header_lines, names, zip(*cols))

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
 from .chaos import chaos_integrals, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula
-from .field import FieldSpec, band_table, make_spec, sample_coefficients, synthesize
-from .grid import build_grid
-from .specfun import gaussian_cdf, jq_coefficient
+from .field import FieldSpec, band_table, make_spec, sample_coefficients, synthesize, write_csv
+from .grid import SphereGrid, build_grid
+from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
@@ -381,6 +383,63 @@ def dof_scaling_exponent(n_list, beta: float, band_rounding: str = "ceil") -> fl
 
 
 @dataclass(frozen=True)
+class ChaosVarianceRow:
+    q: int
+    weight: float          # J_q(u)^2 / q!^2
+    var_hq: float          # exact formula for q = 2, Monte Carlo estimate otherwise
+    contribution: float    # weight * var_hq
+    method: str
+
+
+@dataclass(frozen=True)
+class ChaosVariancePrediction:
+    spec: FieldSpec
+    u: float
+    leading_term: float    # u^2 phi(u)^2 / 4 * 2 (4 pi)^2 / D
+    rows: tuple[ChaosVarianceRow, ...]
+    var_s_hat: float | None
+
+
+def chaos_variance_prediction(
+    spec: FieldSpec,
+    u: float,
+    q_max: int,
+    replicates: int = 0,
+    master_seed: int = 0,
+    grid: SphereGrid | None = None,
+) -> ChaosVariancePrediction:
+    """Predicted per-chaos contributions to Var(area).
+
+    The q = 2 row uses the exact chi-square variance; rows q >= 3 are Monte
+    Carlo estimates over ``replicates`` synthesized fields (skipped when
+    replicates == 0), drawn by the sweep's replicate kernel with the same
+    per-replicate streams.  The leading term is u^2 phi(u)^2/4 * 2 (4 pi)^2 / D.
+    """
+    if q_max < 2:
+        raise ValueError(f"q_max must be >= 2, got {q_max}")
+    var_h2 = h2_variance_formula(spec)
+    w2 = jq_coefficient(2, u) ** 2 / 4.0
+    rows = [ChaosVarianceRow(q=2, weight=w2, var_hq=var_h2, contribution=w2 * var_h2,
+                             method="coefficient_exact")]
+    var_s_hat = None
+    if replicates > 0 and q_max >= 3:
+        if grid is None:
+            grid = build_grid(q_max * spec.n)
+        elif grid.exact_degree < q_max * spec.n:
+            warnings.warn("prediction grid does not resolve degree q_max * n", stacklevel=2)
+        data = _run_replicates(spec, grid, u, q_max, master_seed, replicates, 1)
+        var_s_hat = float(data["area"].var(ddof=1))
+        for q in range(3, q_max + 1):
+            w = jq_coefficient(q, u) ** 2 / math.factorial(q) ** 2
+            v = float(data["h"][:, q].var(ddof=1))
+            rows.append(ChaosVarianceRow(q=q, weight=w, var_hq=v, contribution=w * v, method="quadrature"))
+    leading = (u * float(gaussian_pdf(u))) ** 2 / 4.0 * var_h2
+    return ChaosVariancePrediction(
+        spec=spec, u=u, leading_term=leading, rows=tuple(rows), var_s_hat=var_s_hat
+    )
+
+
+@dataclass(frozen=True)
 class ChaosDominanceReport:
     config: ExperimentConfig
     rows: tuple[SweepRow, ...]
@@ -445,39 +504,29 @@ def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tup
     data = result.replicate_data.get(n)
     if data is None:
         raise KeyError(f"no replicate data for n={n}")
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w")
-        close = True
+    reps = data["h2_exact"].size
+    h = data.get("h")
+    seeds = data.get("seed")
 
-    def fmt(x) -> str:
-        return "" if x is None else f"{x:.16e}"
+    def column(values):
+        return repeat("", reps) if values is None else (f"{v:.16e}" for v in values)
 
-    try:
-        for line in header_lines:
-            out.write(f"# {line}\n")
-        out.write("replicate,seed,u,area,h1,h2_quad,h2_exact,h3,h4\n")
-        reps = data["h2_exact"].size
-        h = data.get("h")
-        areas = data.get("area")
-        seeds = data.get("seed")
-        u = data["u"]
-        for r in range(reps):
-            cols = [
-                str(r),
-                str(int(seeds[r])) if seeds is not None else "",
-                f"{u:.16e}",
-                fmt(float(areas[r])) if areas is not None else "",
-                fmt(float(h[r, 1])) if h is not None else "",
-                fmt(float(h[r, 2])) if h is not None and h.shape[1] > 2 else "",
-                fmt(float(data["h2_exact"][r])),
-                fmt(float(h[r, 3])) if h is not None and h.shape[1] > 3 else "",
-                fmt(float(h[r, 4])) if h is not None and h.shape[1] > 4 else "",
-            ]
-            out.write(",".join(cols) + "\n")
-    finally:
-        if close:
-            out.close()
+    def chaos_column(q: int):
+        return column(h[:, q] if h is not None and h.shape[1] > q else None)
+
+    cols = (  # lazy, so the rows stream to the file
+        map(str, range(reps)),
+        repeat("", reps) if seeds is None else map(str, seeds),
+        repeat(f"{data['u']:.16e}", reps),
+        column(data.get("area")),
+        chaos_column(1),
+        chaos_column(2),
+        column(data["h2_exact"]),
+        chaos_column(3),
+        chaos_column(4),
+    )
+    names = ("replicate", "seed", "u", "area", "h1", "h2_quad", "h2_exact", "h3", "h4")
+    write_csv(out, header_lines, names, zip(*cols))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

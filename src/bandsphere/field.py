@@ -167,10 +167,7 @@ def band_table(spec: FieldSpec, grid: SphereGrid) -> np.ndarray:
     key = (spec.ell_min, spec.n, grid.n_theta, grid.n_phi)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        north = grid.cos_nodes[: (grid.n_theta + 1) // 2]
-        table = np.ascontiguousarray(
-            assoc_legendre_band(spec.ell_min, spec.n, north).transpose(1, 0, 2)
-        )
+        table = assoc_legendre_band(spec.ell_min, spec.n, grid.cos_nodes[: (grid.n_theta + 1) // 2])
         _TABLE_CACHE[key] = table
     return table
 
@@ -246,20 +243,26 @@ def synthesize(
     return FieldSample(spec=spec, grid=grid, values=values)
 
 
-def write_field_csv(sample: FieldSample, out, header_lines: tuple[str, ...] = ()) -> None:
-    """Dump a realization as flat rows theta_index,phi_index,value."""
-    close = False
-    if isinstance(out, (str, bytes)):
+def write_csv(out, header_lines, columns, rows) -> None:
+    """Write ``# `` header lines, the column line and the rows, each a sequence
+    of already formatted fields, to a path or to an open text stream."""
+    close = isinstance(out, (str, bytes))
+    if close:
         out = open(out, "w")
-        close = True
     try:
-        for line in header_lines:
-            out.write(f"# {line}\n")
-        out.write("theta_index,phi_index,value\n")
-        for i in range(sample.grid.n_theta):
-            row = sample.values[i]
-            for j in range(sample.grid.n_phi):
-                out.write(f"{i},{j},{row[j]:.16e}\n")
+        out.writelines(f"# {line}\n" for line in header_lines)
+        out.write(",".join(columns) + "\n")
+        out.writelines(",".join(row) + "\n" for row in rows)
     finally:
         if close:
             out.close()
+
+
+def write_field_csv(sample: FieldSample, out, header_lines: tuple[str, ...] = ()) -> None:
+    """Dump a realization as flat rows theta_index,phi_index,value."""
+    rows = (
+        (str(i), str(j), f"{v:.16e}")
+        for i, row in enumerate(sample.values)
+        for j, v in enumerate(row.tolist())
+    )
+    write_csv(out, header_lines, ("theta_index", "phi_index", "value"), rows)

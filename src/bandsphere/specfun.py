@@ -135,10 +135,12 @@ def assoc_legendre_normalized(ell_max: int, cos_theta: float) -> AssocLegendreTa
 def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np.ndarray:
     """Band-limited normalized associated Legendre table over many colatitudes.
 
-    Returns an array of shape (ell_max - ell_min + 1, ell_max + 1, len(cos_theta))
-    with entry [l - ell_min, m, j] = N_l^m(cos_theta[j]); slots with m > l are
-    zero.  Only two full rows are kept while climbing in l, so memory stays
-    proportional to the band width.
+    Returns a C-contiguous array of shape
+    (ell_max + 1, ell_max - ell_min + 1, len(cos_theta)) with entry
+    [m, l - ell_min, j] = N_l^m(cos_theta[j]); slots with m > l are zero.  The
+    recurrence writes each degree straight into its (m, t) slice and keeps only
+    two more rows while climbing in l, so building the table takes little more
+    memory than the table itself.
     """
     x = np.asarray(cos_theta, dtype=float)
     if x.ndim != 1:
@@ -150,12 +152,12 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     nt = x.size
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     width = ell_max + 1
-    out = np.zeros((ell_max - ell_min + 1, width, nt))
+    out = np.zeros((width, ell_max - ell_min + 1, nt))
     prev2 = np.zeros((width, nt))
     prev = np.zeros((width, nt))
     prev[0] = 1.0 / math.sqrt(FOUR_PI)
     if ell_min == 0:
-        out[0] = prev
+        out[:, 0] = prev
     for ell in range(1, ell_max + 1):
         cur = np.zeros((width, nt))
         m = np.arange(0, ell - 1)
@@ -170,7 +172,7 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
         cur[ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * prev[ell - 1]
         cur[ell] = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s * prev[ell - 1]
         if ell >= ell_min:
-            out[ell - ell_min] = cur
+            out[:, ell - ell_min] = cur
         prev2, prev = prev, cur
     return out
 

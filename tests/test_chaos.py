@@ -160,7 +160,7 @@ def test_functional_orthogonality(small_batch):
 
 def test_chaos_variance_prediction_leading_term():
     spec = fm.make_spec(100, 0.5)
-    pred = ch.chaos_variance_prediction(spec, 1.0, q_max=2)
+    pred = ex.chaos_variance_prediction(spec, 1.0, q_max=2)
     phi1 = 0.24197072451914337
     expected = phi1**2 / 4.0 * 2.0 * FOUR_PI**2 / 1176
     assert pred.leading_term == pytest.approx(expected, rel=1e-12)
@@ -171,7 +171,7 @@ def test_chaos_variance_prediction_leading_term():
 
 def test_chaos_variance_prediction_vanishes_at_zero_threshold():
     spec = fm.make_spec(64, 0.5)
-    pred = ch.chaos_variance_prediction(spec, 0.0, q_max=2)
+    pred = ex.chaos_variance_prediction(spec, 0.0, q_max=2)
     assert pred.leading_term == 0.0
     assert jq_coefficient(2, 0.0) == 0.0
 
@@ -179,7 +179,7 @@ def test_chaos_variance_prediction_vanishes_at_zero_threshold():
 def test_partial_sum_accounts_for_variance():
     # sum over q = 2..6 of J_q^2/q!^2 Var_hat(h_q) captures >= 95% of Var_hat(S(1))
     spec = fm.make_spec(64, 0.5)
-    pred = ch.chaos_variance_prediction(spec, 1.0, q_max=6, replicates=3000, master_seed=7)
+    pred = ex.chaos_variance_prediction(spec, 1.0, q_max=6, replicates=3000, master_seed=7)
     total = sum(row.contribution for row in pred.rows)
     assert pred.var_s_hat is not None
     assert total >= 0.95 * pred.var_s_hat

@@ -170,12 +170,19 @@ def test_worker_flag_does_not_change_output(tmp_path):
 
 
 def test_help_lists_defaults(capsys):
+    from bandsphere import cli
+
     for cmd in ("covariance", "simulate", "excursion", "scaling", "clt", "chaos"):
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "default" in text
+        # each default of the subcommand table shows in its flag's help
+        flat = " ".join(text.split())
+        for key, default in cli._SUBCOMMANDS[cmd][2].items():
+            if default is not None and (cmd, key) not in cli._NO_FLAG:
+                assert f"(default: {default})" in flat, (cmd, key)
 
 
 @pytest.mark.parametrize("argv", [

@@ -220,3 +220,16 @@ def test_grid_degree_floor():
     assert ex.grid_degree(64, 2.0, 4) == 256
     assert ex.grid_degree(64, 2.0) == 128
     assert ex.grid_degree(10, 2.55, 2) == 26
+
+
+def test_chaos_variance_prediction_uses_the_sweep_kernel():
+    # same streams (seed, n, replicate), same grid, same kernel: bitwise equal
+    n, q_max = 16, 4
+    pred = ex.chaos_variance_prediction(make_spec(n, 0.5), 1.0, q_max, replicates=200, master_seed=7)
+    cfg = ex.ExperimentConfig(n_list=(n,), beta=0.5, u=1.0, replicates=200, master_seed=7,
+                              oversample=4, q_max=q_max)
+    data = ex.run_variance_sweep(cfg).replicate_data[n]
+    assert pred.var_s_hat == float(data["area"].var(ddof=1))
+    assert [row.q for row in pred.rows] == [2, 3, 4]
+    for row in pred.rows[1:]:
+        assert row.var_hq == float(data["h"][:, row.q].var(ddof=1))

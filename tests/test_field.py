@@ -203,9 +203,9 @@ def full_node_sum(coeffs, grid):
     direct cos/sin sum over m, with no parity split and no FFT."""
     spec = coeffs.spec
     n = spec.n
-    table = sf.assoc_legendre_band(spec.ell_min, n, grid.cos_nodes)  # [l, m, t]
-    a = np.einsum("lm,lmt->tm", coeffs.matrix[:, n:], table)
-    b = np.einsum("lm,lmt->tm", coeffs.matrix[:, n::-1], table)
+    table = sf.assoc_legendre_band(spec.ell_min, n, grid.cos_nodes)  # [m, l, t]
+    a = np.einsum("lm,mlt->tm", coeffs.matrix[:, n:], table)
+    b = np.einsum("lm,mlt->tm", coeffs.matrix[:, n::-1], table)
     mphi = np.outer(np.arange(n + 1), grid.phi_nodes)
     values = a[:, :1] + math.sqrt(2.0) * (a[:, 1:] @ np.cos(mphi[1:]) + b[:, 1:] @ np.sin(mphi[1:]))
     return math.sqrt(spec.c_norm) * values
@@ -239,9 +239,58 @@ def test_band_table_is_northern_half():
         assert table.nbytes == fm.band_table_bytes(spec, grid.n_theta)
         assert table.nbytes == 8 * spec.band_width * (spec.n + 1) * math.ceil(grid.n_theta / 2)
         full = sf.assoc_legendre_band(spec.ell_min, spec.n, grid.cos_nodes)
-        assert np.array_equal(table, full[:, :, :north].transpose(1, 0, 2))
+        assert np.array_equal(table, full[:, :, :north])
         # parity on the mirrored southern nodes: N_l^m(-x) = (-1)^(l+m) N_l^m(x)
         ell = np.arange(spec.ell_min, spec.n + 1)
-        sign = (-1.0) ** (ell[:, None] + np.arange(spec.n + 1))
+        sign = (-1.0) ** (np.arange(spec.n + 1)[:, None] + ell)
         south = full[:, :, ::-1][:, :, :north]
         assert np.abs(south - sign[:, :, None] * full[:, :, :north]).max() <= 1e-13
+
+
+def test_band_table_build_peaks_near_one_table():
+    # the recurrence writes the (m, l, t) table in place: no second copy
+    import tracemalloc
+
+    spec, grid = fm.full_band_spec(64), build_grid(128)
+    fm.clear_table_cache()
+    tracemalloc.start()
+    try:
+        table = fm.band_table(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == fm.band_table_bytes(spec, grid.n_theta)
+    assert peak <= 1.25 * fm.band_table_bytes(spec, grid.n_theta)
+
+
+def _profile_csv(out):
+    from bandsphere import covariance as cv
+
+    prof = cv.profile(fm.make_spec(50, 0.5), np.linspace(0.0, 30.0, 40))
+    cv.write_profile_csv(prof, out, header_lines=("n = 50", "beta = 0.5"))
+
+
+def _field_csv(out):
+    spec = fm.make_spec(8, 0.5)
+    sample = fm.synthesize(fm.sample_coefficients(spec, fm.replicate_rng(1, 0)), build_grid(2 * spec.n))
+    fm.write_field_csv(sample, out, header_lines=("seed = 1",))
+
+
+def _replicate_csv(out):
+    from bandsphere import experiments as ex
+
+    cfg = ex.ExperimentConfig(n_list=(12,), beta=0.5, replicates=100, master_seed=3, q_max=3)
+    ex.write_replicate_csv(ex.run_variance_sweep(cfg), 12, out, header_lines=("master_seed = 3",))
+
+
+@pytest.mark.parametrize("write", [_profile_csv, _field_csv, _replicate_csv], ids=["profile", "field", "replicate"])
+def test_csv_writer_path_and_stream_agree(tmp_path, write):
+    import io
+
+    path = tmp_path / "out.csv"
+    write(str(path))
+    buf = io.StringIO()
+    write(buf)
+    assert not buf.closed
+    assert path.read_text() == buf.getvalue()
+    assert buf.getvalue().startswith("# ")

@@ -14,8 +14,8 @@ FOUR_PI = 4 * math.pi
 
 def real_harmonic_on_grid(grid: SphereGrid, ell: int, m: int) -> np.ndarray:
     """Real spherical harmonic Y_{ell,m} sampled on the grid (test helper)."""
-    band = sf.assoc_legendre_band(ell, ell, grid.cos_nodes)  # (1, ell+1, n_theta)
-    n_lm = band[0, abs(m)]  # (n_theta,)
+    band = sf.assoc_legendre_band(ell, ell, grid.cos_nodes)  # (ell+1, 1, n_theta)
+    n_lm = band[abs(m), 0]  # (n_theta,)
     phi = grid.phi_nodes
     if m == 0:
         ang = np.ones_like(phi)

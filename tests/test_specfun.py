@@ -148,7 +148,7 @@ def test_assoc_band_table_matches_scalar_table():
     tab = sf.assoc_legendre_normalized(12, math.cos(0.7))
     for ell in range(5, 13):
         for m in range(ell + 1):
-            assert band[ell - 5, m, 1] == tab.values[ell, m]
+            assert band[m, ell - 5, 1] == tab.values[ell, m]
 
 
 def test_assoc_domain_error():
