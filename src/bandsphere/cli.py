@@ -44,7 +44,8 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in str(text).split(","))
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        # argparse reports this error's text and exits 2
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 _MODES = ("field-full", "h2-direct", "field_full", "h2_direct")
@@ -87,9 +88,12 @@ def _read_config_file(path: str) -> dict:
                 key = key.strip().replace("-", "_")
                 if key not in _FLAGS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                kind, _, choices = _FLAGS[key]
                 try:
-                    values[key] = _FLAGS[key][0](val.strip())
-                except ValueError as exc:
+                    values[key] = kind(val.strip())
+                    if choices is not None and values[key] not in choices:
+                        raise ValueError(f"invalid choice: {values[key]!r} (choose from {', '.join(map(repr, choices))})")
+                except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")

@@ -3,31 +3,35 @@ frequency, scaling-exponent regression, CLT testing, and chaos-dominance
 diagnostics, all with bootstrap uncertainty quantification.
 
 Reproducibility contract: a config plus master seed determines every output
-bit, independently of the worker count.  Per-replicate generator streams are
-keyed by (master_seed, n, replicate_index); replicate results are collected
-into arrays indexed by replicate, so reductions always run in the same order.
+bit, independently of the worker count and of the process start method.
+Per-replicate generator streams are keyed by (master_seed, n,
+replicate_index); replicate results are collected into arrays indexed by
+replicate, so reductions always run in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
 from .chaos import chaos_integrals, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula
 from .field import FieldSpec, band_table, make_spec, sample_coefficients, synthesize, write_csv
-from .grid import SphereGrid, build_grid
+from .grid import build_grid
 from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
 
 _BOOTSTRAP_KEY = 1_000_003  # stream-key tag separating bootstrap draws from replicates
+
+BOOTSTRAP_RESAMPLES = 1000  # per standard error of a variance or a mean
+EXPONENT_BOOTSTRAP_RESAMPLES = 400  # per confidence interval of the fitted exponent
 
 MODES = ("field_full", "h2_direct")
 
@@ -136,81 +140,72 @@ def clt_test(samples: np.ndarray) -> tuple[float, bool]:
     return stat, stat < ks_critical_one_sample(samples.size)
 
 
-def bootstrap_variance_se(
-    values: np.ndarray, rng: np.random.Generator, n_boot: int = 1000
-) -> float:
+def bootstrap_variance_se(values: np.ndarray, rng: np.random.Generator) -> float:
     """Bootstrap standard error of the sample variance (ddof=1)."""
     values = np.asarray(values, dtype=float)
     r = values.size
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         boots[b] = values[rng.integers(0, r, r)].var(ddof=1)
     return float(boots.std(ddof=1))
 
 
-def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator, n_boot: int = 1000) -> float:
+def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator) -> float:
     values = np.asarray(values, dtype=float)
     r = values.size
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         boots[b] = values[rng.integers(0, r, r)].mean()
     return float(boots.std(ddof=1))
 
 
 # --- replicate evaluation ----------------------------------------------------
 
-_WORKER_CTX: dict = {}
-
-
 def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, r: int):
+    """Seed id, area, chaos integrals and exact h2 of replicate r; its
+    coefficients and field are freed when it returns."""
     ss = np.random.SeedSequence([int(master_seed), spec.n, r])
     rng = np.random.default_rng(ss)
-    seed_id = int(ss.generate_state(1, np.uint64)[0])
+    seed_id = ss.generate_state(1, np.uint64)[0]
     coeffs = sample_coefficients(spec, rng)
     sample = synthesize(coeffs, grid)
     ints = chaos_integrals(sample, q_max)
     area = excursion_area(sample, u, replicate_id=r).area
-    return r, seed_id, area, ints, h2_exact_from_coeffs(coeffs)
+    return seed_id, area, ints, h2_exact_from_coeffs(coeffs)
 
 
-def _worker_chunk(bounds):
-    lo, hi = bounds
-    ctx = _WORKER_CTX
-    return [
-        _replicate_row(ctx["spec"], ctx["grid"], ctx["u"], ctx["q_max"], ctx["seed"], r)
-        for r in range(lo, hi)
-    ]
+def _replicate_chunk(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, bounds):
+    """Arrays of replicates lo..hi-1, bounds = (lo, hi): the one replicate
+    kernel, called in-process or, pickled, by a pool worker."""
+    reps = range(*bounds)
+    data = {
+        "area": np.empty(len(reps)),
+        "h": np.empty((len(reps), q_max + 1)),
+        "h2_exact": np.empty(len(reps)),
+        "seed": np.empty(len(reps), dtype=np.uint64),
+    }
+    for i, r in enumerate(reps):
+        data["seed"][i], data["area"][i], data["h"][i], data["h2_exact"][i] = _replicate_row(
+            spec, grid, u, q_max, master_seed, r
+        )
+    return data
 
 
 def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
-    """Evaluate all replicates, in order-independent parallel chunks."""
-    areas = np.empty(replicates)
-    h = np.empty((replicates, q_max + 1))
-    h2x = np.empty(replicates)
-    seeds = np.empty(replicates, dtype=np.uint64)
-
-    def consume(row):
-        r, sid, area, ints, hx = row
-        areas[r] = area
-        h[r] = ints
-        h2x[r] = hx
-        seeds[r] = sid
-
+    """Evaluate all replicates in chunks, in this process or on a pool of
+    workers, and join the chunks in replicate order.  Workers fork where the
+    platform can, so they share the band table built before the pool."""
+    size = max(1, replicates // (workers * 8))
+    bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+    kernel = functools.partial(_replicate_chunk, spec, grid, u, q_max, master_seed)
     if workers <= 1:
-        for r in range(replicates):
-            consume(_replicate_row(spec, grid, u, q_max, master_seed, r))
+        chunks = list(map(kernel, bounds))
     else:
-        global _WORKER_CTX
-        _WORKER_CTX = {"spec": spec, "grid": grid, "u": u, "q_max": q_max, "seed": master_seed}
-        chunk = max(1, replicates // (workers * 8))
-        bounds = [(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
-        mp_ctx = multiprocessing.get_context("fork")
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        mp_ctx = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
-            for rows in pool.map(_worker_chunk, bounds):
-                for row in rows:
-                    consume(row)
-        _WORKER_CTX = {}
-    return {"area": areas, "h": h, "h2_exact": h2x, "seed": seeds}
+            chunks = list(pool.map(kernel, bounds))
+    return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
 
 def grid_degree(n: int, oversample: float, q_max: int = 2) -> int:
@@ -331,7 +326,6 @@ def run_variance_sweep(config: ExperimentConfig) -> ExperimentResult:
 def fit_scaling_exponent(
     rows,
     raw_areas: dict[int, np.ndarray] | None = None,
-    n_boot: int = 400,
     master_seed: int = 0,
 ):
     """Ordinary least squares of log(var_S_hat) against log(n).
@@ -349,9 +343,9 @@ def fit_scaling_exponent(
     ci = None
     if raw_areas is not None and all(r.n in raw_areas for r in usable):
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, _BOOTSTRAP_KEY, 2]))
-        slopes = np.empty(n_boot)
+        slopes = np.empty(EXPONENT_BOOTSTRAP_RESAMPLES)
         logn = np.log(ns)
-        for b in range(n_boot):
+        for b in range(EXPONENT_BOOTSTRAP_RESAMPLES):
             logv = np.empty(len(usable))
             for i, row in enumerate(usable):
                 areas = raw_areas[row.n]
@@ -406,14 +400,14 @@ def chaos_variance_prediction(
     q_max: int,
     replicates: int = 0,
     master_seed: int = 0,
-    grid: SphereGrid | None = None,
 ) -> ChaosVariancePrediction:
     """Predicted per-chaos contributions to Var(area).
 
     The q = 2 row uses the exact chi-square variance; rows q >= 3 are Monte
     Carlo estimates over ``replicates`` synthesized fields (skipped when
     replicates == 0), drawn by the sweep's replicate kernel with the same
-    per-replicate streams.  The leading term is u^2 phi(u)^2/4 * 2 (4 pi)^2 / D.
+    per-replicate streams on a grid of degree q_max * n.  The leading term
+    is u^2 phi(u)^2/4 * 2 (4 pi)^2 / D.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
@@ -423,11 +417,7 @@ def chaos_variance_prediction(
                              method="coefficient_exact")]
     var_s_hat = None
     if replicates > 0 and q_max >= 3:
-        if grid is None:
-            grid = build_grid(q_max * spec.n)
-        elif grid.exact_degree < q_max * spec.n:
-            warnings.warn("prediction grid does not resolve degree q_max * n", stacklevel=2)
-        data = _run_replicates(spec, grid, u, q_max, master_seed, replicates, 1)
+        data = _run_replicates(spec, build_grid(q_max * spec.n), u, q_max, master_seed, replicates, 1)
         var_s_hat = float(data["area"].var(ddof=1))
         for q in range(3, q_max + 1):
             w = jq_coefficient(q, u) ** 2 / math.factorial(q) ** 2
@@ -529,47 +519,12 @@ def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tup
     write_csv(out, header_lines, names, zip(*cols))
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "n_list": list(config.n_list),
-        "beta": config.beta,
-        "u": config.u,
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "oversample": config.oversample,
-        "mode": config.mode,
-        "q_max": config.q_max,
-        "workers": config.workers,
-        "band_rounding": config.band_rounding,
-    }
-
-
 def row_to_dict(row: SweepRow) -> dict:
-    return {
-        "n": row.n,
-        "ell_min": row.ell_min,
-        "dof": row.dof,
-        "var_s_hat": row.var_s_hat,
-        "var_s_se": row.var_s_se,
-        "mean_s_hat": row.mean_s_hat,
-        "mean_s_se": row.mean_s_se,
-        "var_h2_hat": row.var_h2_hat,
-        "var_h2_se": row.var_h2_se,
-        "var_h2_exact_formula": row.var_h2_exact_formula,
-        "clt_ks_stat": row.clt_ks_stat,
-        "clt_pass": row.clt_pass,
-        "var_hq": {str(q): v for q, v in sorted(row.var_hq.items())},
-        "var_hq_se": {str(q): v for q, v in sorted(row.var_hq_se.items())},
-        "chaos_ratios": {str(q): v for q, v in sorted(row.chaos_ratios.items())},
-        "error": row.error,
-    }
+    return asdict(row)
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
-    return {
-        "config": config_to_dict(result.config),
-        "rows": [row_to_dict(r) for r in result.rows],
-        "fitted_exponent": result.fitted_exponent,
-        "fitted_intercept": result.fitted_intercept,
-        "exponent_ci": list(result.exponent_ci) if result.exponent_ci else None,
-    }
+    """The result without its replicate arrays."""
+    body = asdict(replace(result, replicate_data={}))
+    del body["replicate_data"]
+    return body

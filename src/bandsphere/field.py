@@ -204,42 +204,35 @@ def _fourier_rows(coeffs: HarmonicCoefficients, table: np.ndarray, n_theta: int)
     return amp
 
 
-def synthesize(
-    coeffs: HarmonicCoefficients, grid: SphereGrid, method: str = "auto"
-) -> FieldSample:
+def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> FieldSample:
     """Evaluate the realization on all grid nodes.
 
     Works separably: contract the coefficients against the band table into
     per-colatitude Fourier amplitudes, then evaluate the longitude
-    trigonometric sum, by real FFT when the longitude count allows it and by
-    direct cos/sin products otherwise.  The two paths agree to ~1e-12.
+    trigonometric sum by one real FFT per row.  On a ring with n_phi <= 2n
+    longitudes the orders m > n_phi / 2 alias onto n_phi - m and are folded
+    there, conjugated, so every grid that resolves degree n takes this path.
     """
     spec = coeffs.spec
     if grid.exact_degree < spec.n:
         raise ValueError(
             f"grid resolves degree {grid.exact_degree} < field degree {spec.n}"
         )
-    if method not in ("auto", "fft", "direct"):
-        raise ValueError(f"unknown synthesis method {method!r}")
     amp = _fourier_rows(coeffs, band_table(spec, grid), grid.n_theta)
     n = spec.n
-    if method == "auto":
-        method = "fft" if grid.n_phi >= 2 * n + 2 else "direct"
-    if method == "fft":
-        if grid.n_phi < 2 * n + 2:
-            raise ValueError("n_phi too small for alias-free FFT synthesis")
-        # irfft zero-pads the half-spectrum from m = n + 1 to n_phi / 2 itself,
-        # and the amplitudes are freed before it allocates the field: both
-        # keep the peak memory of a replicate down
-        spectrum = np.empty((grid.n_theta, n + 1), dtype=complex)
-        spectrum.view(float).reshape(grid.n_theta, n + 1, 2)[...] = amp.transpose(2, 0, 1)
-        del amp
-        values = np.fft.irfft(spectrum, n=grid.n_phi, axis=1, norm="forward")
-    else:
-        mphi = np.outer(np.arange(n + 1), grid.phi_nodes)
-        weight = np.full((n + 1, 1), 2.0)
-        weight[0] = 1.0
-        values = amp[:, 0].T @ (weight * np.cos(mphi)) - amp[:, 1].T @ (weight * np.sin(mphi))
+    # irfft zero-pads the half-spectrum from m = n + 1 to n_phi / 2 itself,
+    # and the amplitudes are freed before it allocates the field: both keep
+    # the peak memory of a replicate down
+    spectrum = np.empty((grid.n_theta, n + 1), dtype=complex)
+    spectrum.view(float).reshape(grid.n_theta, n + 1, 2)[...] = amp.transpose(2, 0, 1)
+    del amp
+    half = grid.n_phi // 2  # build_grid makes n_phi even
+    if n >= half:
+        folded = np.arange(half + 1, n + 1)
+        spectrum[:, grid.n_phi - folded] += spectrum[:, folded].conj()
+        # irfft reads only the real part of the Nyquist bin, at half weight
+        spectrum[:, half] = 2.0 * spectrum[:, half].real
+    values = np.fft.irfft(spectrum, n=grid.n_phi, axis=1, norm="forward")
     return FieldSample(spec=spec, grid=grid, values=values)
 
 

@@ -70,10 +70,6 @@ class SphereGrid:
         w = np.repeat(self.theta_weights * (2.0 * math.pi / self.n_phi), self.n_phi)
         return w
 
-    @property
-    def n_cells(self) -> int:
-        return self.n_theta * self.n_phi
-
 
 def theta_count(target_degree: int) -> int:
     """Gauss-Legendre colatitude count of ``build_grid(target_degree)``."""

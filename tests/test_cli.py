@@ -146,6 +146,28 @@ def test_bad_config_file(tmp_path):
     assert run_cli(["excursion", "--config", str(cfg)]) == 2
 
 
+def test_bad_integer_list_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--n", "a,b", "--beta", "0.5"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got 'a,b'" in capsys.readouterr().err
+    cfg = tmp_path / "list.cfg"
+    cfg.write_text("beta = 0.5\nn_list = a,b\n")
+    assert run_cli(["scaling", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: bad value for n_list: expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["band_rounding = up", "format = xml"])
+def test_config_file_values_obey_flag_choices(tmp_path, capsys, line):
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(f"mode = h2-direct\n{line}\n")
+    out = tmp_path / "out"
+    argv = ["excursion", "--config", str(cfg), "--n", "100", "--beta", "0.5", "--replicates", "2000"]
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert f"{cfg}:2: bad value for {line.split()[0]}: invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_excursion_replicate_csv_format(tmp_path):
     out = tmp_path / "reps.csv"
     rc = run_cli([

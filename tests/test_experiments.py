@@ -42,15 +42,24 @@ def test_row_structure_invariants():
         assert all(v >= 0 for v in row.var_hq.values())
 
 
-def test_result_invariant_under_worker_count():
+def test_result_invariant_under_worker_count(monkeypatch):
     base = dict(n_list=(16, 24), beta=0.5, replicates=150, mode="field_full", master_seed=5, q_max=3)
     r1 = ex.run_variance_sweep(ex.ExperimentConfig(**base))
-    r2 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=2))
-    for a, b in zip(r1.rows, r2.rows):
-        assert ex.row_to_dict(a) == ex.row_to_dict(b)
-    for n in (16, 24):
-        assert np.array_equal(r1.replicate_data[n]["area"], r2.replicate_data[n]["area"])
-        assert np.array_equal(r1.replicate_data[n]["h"], r2.replicate_data[n]["h"])
+    others = [ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=w)) for w in (2, 3)]
+    # the same pool with spawned workers, which start from a fresh import
+    methods = []
+    get_context = ex.multiprocessing.get_context
+    monkeypatch.setattr(ex.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(ex.multiprocessing, "get_context", lambda m: methods.append(m) or get_context(m))
+    others.append(ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=2)))
+    assert methods == ["spawn", "spawn"]
+    for r2 in others:
+        for a, b in zip(r1.rows, r2.rows, strict=True):
+            assert a.error is None
+            assert ex.row_to_dict(a) == ex.row_to_dict(b)
+        for n in (16, 24):
+            for key in ("area", "h", "h2_exact", "seed"):
+                assert np.array_equal(r1.replicate_data[n][key], r2.replicate_data[n][key])
 
 
 def test_rerun_is_bit_identical():

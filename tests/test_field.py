@@ -117,15 +117,6 @@ def test_synthesize_single_coefficient_is_scaled_harmonic():
     assert np.abs(sample.values - expected).max() <= 1e-10
 
 
-def test_synthesize_fft_and_direct_agree():
-    spec = fm.make_spec(24, 0.6)
-    grid = build_grid(2 * spec.n)
-    coeffs = fm.sample_coefficients(spec, fm.replicate_rng(9, 1))
-    v_fft = fm.synthesize(coeffs, grid, method="fft").values
-    v_dir = fm.synthesize(coeffs, grid, method="direct").values
-    assert np.abs(v_fft - v_dir).max() <= 1e-10
-
-
 def test_synthesize_rejects_under_resolved_grid():
     spec = fm.make_spec(32, 0.5)
     grid = build_grid(16)
@@ -217,16 +208,18 @@ def full_node_sum(coeffs, grid):
     lambda: fm.full_band_spec(12),
     lambda: fm.single_ell_spec(15),
 ], ids=["make_spec", "make_spec_floor", "full_band", "single_ell"])
-@pytest.mark.parametrize("extra", [0, 1, 2, 3])
-def test_synthesize_matches_full_node_sum(make, extra):
-    # grid degrees 2n..2n+3 give both parities of n_theta
+@pytest.mark.parametrize("times, extra", [(2, 0), (2, 1), (2, 2), (2, 3), (1, 0), (1, 1)],
+                         ids=["0", "1", "2", "3", "n", "n+1"])
+def test_synthesize_matches_full_node_sum(make, times, extra):
+    # grid degrees 2n..2n+3 give both parities of n_theta; on degrees n and
+    # n + 1, n_phi <= 2n, so orders above n_phi / 2 fold onto lower bins and
+    # the Nyquist bin carries a mode
     spec = make()
-    grid = build_grid(2 * spec.n + extra)
+    grid = build_grid(times * spec.n + extra)
+    assert times == 2 or grid.n_phi <= 2 * spec.n
     coeffs = fm.sample_coefficients(spec, fm.replicate_rng(31, spec.n, extra))
-    expected = full_node_sum(coeffs, grid)
-    for method in ("fft", "direct"):
-        values = fm.synthesize(coeffs, grid, method=method).values
-        assert np.abs(values - expected).max() <= 1e-12
+    values = fm.synthesize(coeffs, grid).values
+    assert np.abs(values - full_node_sum(coeffs, grid)).max() <= 1e-12
 
 
 def test_band_table_is_northern_half():
