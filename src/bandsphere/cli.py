@@ -213,10 +213,7 @@ def _check_sweep_fits(config: ex.ExperimentConfig, q_max: int) -> None:
     if config.mode != "field_full":
         return
     n = config.n_list[-1]
-    try:
-        spec = make_spec(n, config.beta, config.band_rounding)
-    except ValueError:
-        return  # the sweep reports the bad spec in its row
+    spec = make_spec(n, config.beta, config.band_rounding)  # checked by the config
     _check_table_fits(spec, ex.grid_degree(n, config.oversample, q_max))
 
 
@@ -229,8 +226,8 @@ def cmd_covariance(r: dict) -> int:
         raise UsageError("need at least 2 grid points")
     spec = _make_spec(r)
     psi_max = r["psi_max"] if r["psi_max"] is not None else cov.lemma1_window(spec, r["epsilon"])[1]
-    if not 0.0 <= r["psi_min"] < psi_max:
-        raise UsageError("need 0 <= psi_min < psi_max")
+    if not 0.0 <= r["psi_min"] < psi_max or cov.psi_to_theta(spec, psi_max) > math.pi:
+        raise UsageError(f"need 0 <= psi_min < psi_max <= alpha*n*pi = {cov.theta_to_psi(spec, math.pi):.6g}")
     psi = np.linspace(r["psi_min"], psi_max, r["points"])
     prof = cov.profile(spec, psi, epsilon=r["epsilon"])
     cov.write_profile_csv(prof, r["out"] or sys.stdout, header_lines=_header_lines(dict(r, psi_max=psi_max)))
@@ -274,7 +271,7 @@ def cmd_scaling(r: dict) -> int:
     # the fitted n; -(2 - beta) is only its large-n limit
     target_finite_n = None
     if result.fitted_exponent is not None:
-        fitted_ns = [row.n for row in result.rows if row.var_s_hat is not None and row.var_s_hat > 0]
+        fitted_ns = [row.n for row in ex.usable_rows(result.rows)]
         target_finite_n = ex.dof_scaling_exponent(fitted_ns, r["beta"], r["band_rounding"])
         flags["slope_within_band"] = abs(result.fitted_exponent - target_finite_n) <= SLOPE_TOLERANCE
     else:

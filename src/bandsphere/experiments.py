@@ -1,12 +1,13 @@
 """Monte Carlo experiment orchestration: variance sweeps over the top
 frequency, scaling-exponent regression, CLT testing, and chaos-dominance
-diagnostics, all with bootstrap uncertainty quantification.
+diagnostics, with bootstrap standard errors and a delta-method exponent CI.
 
 Reproducibility contract: a config plus master seed determines every output
 bit, independently of the worker count and of the process start method.
-Per-replicate generator streams are keyed by (master_seed, n,
-replicate_index); replicate results are collected into arrays indexed by
-replicate, so reductions always run in the same order.
+Every generator comes from field.replicate_rng: replicate streams are keyed
+by (master_seed, n, replicate_index), the bootstrap draws of a row by
+(master_seed, n, _BOOTSTRAP_KEY); replicate results are collected into
+arrays indexed by replicate, so reductions always run in the same order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
@@ -21,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .chaos import chaos_integrals, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula
-from .field import FieldSpec, band_table, make_spec, sample_coefficients, synthesize, write_csv
+from .field import FieldSpec, band_table, make_spec, replicate_rng, sample_coefficients, synthesize, write_csv
 from .grid import build_grid
 from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
 
@@ -31,7 +33,6 @@ KS_COEFF_1PCT = 1.628
 _BOOTSTRAP_KEY = 1_000_003  # stream-key tag separating bootstrap draws from replicates
 
 BOOTSTRAP_RESAMPLES = 1000  # per standard error of a variance or a mean
-EXPONENT_BOOTSTRAP_RESAMPLES = 400  # per confidence interval of the fitted exponent
 
 MODES = ("field_full", "h2_direct")
 
@@ -65,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("oversample must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        for n in self.n_list:  # a bad band is a config error, not a failed row
+            make_spec(n, self.beta, self.band_rounding)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,6 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: tuple[SweepRow, ...]
     fitted_exponent: float | None = None
-    fitted_intercept: float | None = None
     exponent_ci: tuple[float, float] | None = None
     replicate_data: dict = field(default_factory=dict, repr=False)
 
@@ -164,9 +166,8 @@ def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator) -> float:
 def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, r: int):
     """Seed id, area, chaos integrals and exact h2 of replicate r; its
     coefficients and field are freed when it returns."""
-    ss = np.random.SeedSequence([int(master_seed), spec.n, r])
-    rng = np.random.default_rng(ss)
-    seed_id = ss.generate_state(1, np.uint64)[0]
+    rng = replicate_rng(master_seed, spec.n, r)
+    seed_id = rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]
     coeffs = sample_coefficients(spec, rng)
     sample = synthesize(coeffs, grid)
     ints = chaos_integrals(sample, q_max)
@@ -192,9 +193,11 @@ def _replicate_chunk(spec: FieldSpec, grid, u: float, q_max: int, master_seed: i
 
 
 def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
-    """Evaluate all replicates in chunks, in this process or on a pool of
-    workers, and join the chunks in replicate order.  Workers fork where the
-    platform can, so they share the band table built before the pool."""
+    """Evaluate all replicates in chunks, in this process or on a pool of at
+    most one worker per CPU, and join the chunks in replicate order.  The
+    chunks depend on ``workers`` only, so the output does not depend on the
+    CPU count.  Workers fork where the platform can, so they share the band
+    table built before the pool."""
     size = max(1, replicates // (workers * 8))
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     kernel = functools.partial(_replicate_chunk, spec, grid, u, q_max, master_seed)
@@ -203,7 +206,7 @@ def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
     else:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         mp_ctx = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=mp_ctx) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1), mp_context=mp_ctx) as pool:
             chunks = list(pool.map(kernel, bounds))
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
@@ -215,74 +218,65 @@ def grid_degree(n: int, oversample: float, q_max: int = 2) -> int:
     return max(int(math.ceil(oversample * n)), q_max * n)
 
 
-def _field_row(config: ExperimentConfig, n: int):
+def chaos_weight(q: int, u: float) -> float:
+    """J_q(u)^2 / q!^2, the weight of Var(h_q) in the variance of the area."""
+    return jq_coefficient(q, u) ** 2 / math.factorial(q) ** 2
+
+
+def _sweep_row(config: ExperimentConfig, n: int):
+    """Summary row and replicate arrays at top frequency n.
+
+    The mode chooses only where the arrays come from: synthesized fields
+    (area, chaos integrals and exact h2 of each replicate) or direct
+    chi-square draws of h2.  Every statistic of the row is computed from the
+    arrays present.  The bootstrap draws come from one stream per n in the
+    fixed order var_s, mean_s, var_h2, var_h3, ...
+    """
     spec = make_spec(n, config.beta, config.band_rounding)
-    grid = build_grid(grid_degree(n, config.oversample, config.q_max))
-    band_table(spec, grid)  # build before forking so workers share it
-    data = _run_replicates(
-        spec, grid, config.u, config.q_max, config.master_seed, config.replicates, config.workers
-    )
-    areas = data["area"]
+    if config.mode == "field_full":
+        grid = build_grid(grid_degree(n, config.oversample, config.q_max))
+        band_table(spec, grid)  # build before forking so workers share it
+        data = _run_replicates(
+            spec, grid, config.u, config.q_max, config.master_seed, config.replicates, config.workers
+        )
+    else:
+        draws = h2_sample_direct(spec, replicate_rng(config.master_seed, n, 0), size=config.replicates)
+        data = {"h2_exact": draws}
+    boot_rng = replicate_rng(config.master_seed, n, _BOOTSTRAP_KEY)
+    areas = data.get("area")
     h2x = data["h2_exact"]
-    boot_rng = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, n, _BOOTSTRAP_KEY])
-    )
-    var_s = float(areas.var(ddof=1))
-    var_s_se = bootstrap_variance_se(areas, boot_rng)
-    mean_s = float(areas.mean())
-    mean_s_se = bootstrap_mean_se(areas, boot_rng)
-    var_h2 = float(h2x.var(ddof=1))
-    var_h2_se = bootstrap_variance_se(h2x, boot_rng)
-    ks_stat, ks_pass = clt_test(areas) if areas.size >= 500 else (None, None)
-    var_hq = {}
-    var_hq_se = {}
-    ratios = {2: jq_coefficient(2, config.u) ** 2 / 4.0 * var_h2 / var_s if var_s > 0 else math.nan}
-    for q in range(3, config.q_max + 1):
-        vq = float(data["h"][:, q].var(ddof=1))
-        var_hq[q] = vq
-        var_hq_se[q] = bootstrap_variance_se(data["h"][:, q], boot_rng)
-        if var_s > 0:
-            ratios[q] = jq_coefficient(q, config.u) ** 2 / math.factorial(q) ** 2 * vq / var_s
+    stats = {}
+    if areas is not None:
+        stats.update(
+            var_s_hat=float(areas.var(ddof=1)),
+            var_s_se=bootstrap_variance_se(areas, boot_rng),
+            mean_s_hat=float(areas.mean()),
+            mean_s_se=bootstrap_mean_se(areas, boot_rng),
+        )
+    stats.update(var_h2_hat=float(h2x.var(ddof=1)), var_h2_se=bootstrap_variance_se(h2x, boot_rng))
+    if areas is not None:
+        h = data["h"]
+        var_hq = {q: float(h[:, q].var(ddof=1)) for q in range(3, config.q_max + 1)}
+        var_s = stats["var_s_hat"]
+        stats.update(
+            var_hq=var_hq,
+            var_hq_se={q: bootstrap_variance_se(h[:, q], boot_rng) for q in var_hq},
+            chaos_ratios={q: chaos_weight(q, config.u) * v / var_s
+                          for q, v in {2: stats["var_h2_hat"], **var_hq}.items()} if var_s > 0 else {2: math.nan},
+        )
+    clt_sample = h2x if areas is None else areas
+    ks_stat, ks_pass = clt_test(clt_sample) if clt_sample.size >= 500 else (None, None)
     row = SweepRow(
         n=n,
         ell_min=spec.ell_min,
         dof=spec.dof,
-        var_s_hat=var_s,
-        var_s_se=var_s_se,
-        mean_s_hat=mean_s,
-        mean_s_se=mean_s_se,
-        var_h2_hat=var_h2,
-        var_h2_se=var_h2_se,
         var_h2_exact_formula=h2_variance_formula(spec),
         clt_ks_stat=ks_stat,
         clt_pass=ks_pass,
-        var_hq=var_hq,
-        var_hq_se=var_hq_se,
-        chaos_ratios=ratios,
+        **stats,
     )
     data["u"] = config.u
     return row, data
-
-
-def _direct_row(config: ExperimentConfig, n: int):
-    spec = make_spec(n, config.beta, config.band_rounding)
-    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, n, 0]))
-    draws = h2_sample_direct(spec, rng, size=config.replicates)
-    boot_rng = np.random.default_rng(
-        np.random.SeedSequence([config.master_seed, n, _BOOTSTRAP_KEY])
-    )
-    ks_stat, ks_pass = clt_test(draws) if draws.size >= 500 else (None, None)
-    row = SweepRow(
-        n=n,
-        ell_min=spec.ell_min,
-        dof=spec.dof,
-        var_h2_hat=float(draws.var(ddof=1)),
-        var_h2_se=bootstrap_variance_se(draws, boot_rng),
-        var_h2_exact_formula=h2_variance_formula(spec),
-        clt_ks_stat=ks_stat,
-        clt_pass=ks_pass,
-    )
-    return row, {"h2_exact": draws, "u": config.u}
 
 
 def run_variance_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -294,67 +288,46 @@ def run_variance_sweep(config: ExperimentConfig) -> ExperimentResult:
     replicate_data = {}
     for n in config.n_list:
         try:
-            if config.mode == "field_full":
-                row, data = _field_row(config, n)
-            else:
-                row, data = _direct_row(config, n)
-            replicate_data[n] = data
+            row, replicate_data[n] = _sweep_row(config, n)
         except Exception as exc:  # propagate per-n without aborting the sweep
-            spec_ok = None
-            try:
-                spec_ok = make_spec(n, config.beta, config.band_rounding)
-            except Exception:
-                pass
-            row = SweepRow(
-                n=n,
-                ell_min=spec_ok.ell_min if spec_ok else -1,
-                dof=spec_ok.dof if spec_ok else -1,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            spec = make_spec(n, config.beta, config.band_rounding)  # checked by the config
+            row = SweepRow(n=n, ell_min=spec.ell_min, dof=spec.dof, error=f"{type(exc).__name__}: {exc}")
         rows.append(row)
     result = ExperimentResult(config=config, rows=tuple(rows), replicate_data=replicate_data)
-    usable = [r for r in rows if r.var_s_hat is not None and r.var_s_hat > 0]
-    if config.mode == "field_full" and len(usable) >= 3:
-        slope, intercept, ci = fit_scaling_exponent(
-            usable, raw_areas={n: replicate_data[n]["area"] for n in config.n_list if n in replicate_data},
-            master_seed=config.master_seed,
-        )
-        result = replace(result, fitted_exponent=slope, fitted_intercept=intercept, exponent_ci=ci)
+    if len(usable_rows(rows)) >= 3:  # h2_direct rows carry no area variance
+        slope, ci = fit_scaling_exponent(rows)
+        result = replace(result, fitted_exponent=slope, exponent_ci=ci)
     return result
 
 
-def fit_scaling_exponent(
-    rows,
-    raw_areas: dict[int, np.ndarray] | None = None,
-    master_seed: int = 0,
-):
-    """Ordinary least squares of log(var_S_hat) against log(n).
+def usable_rows(rows) -> list[SweepRow]:
+    """The rows the exponent fit uses: those with a positive area variance."""
+    return [r for r in rows if r.var_s_hat is not None and r.var_s_hat > 0]
 
-    Returns (slope, intercept, ci); the confidence interval comes from
-    bootstrap resampling of the replicates when raw areas are available, and
-    is None otherwise.
+
+def fit_scaling_exponent(rows):
+    """Ordinary least squares of log(var_S_hat) against log(n) over the
+    usable rows.
+
+    Returns (slope, ci).  The 95% confidence interval is the delta-method
+    one: with Var(log v_i) ~ (se_i / v_i)^2 and independent rows, the slope
+    sum_i c_i log v_i, c_i = (x_i - mean x) / S_xx, x_i = log n_i, has
+    variance sum_i (c_i se_i / v_i)^2.  It is None when a row has no
+    var_s_se.
     """
-    usable = [r for r in rows if r.var_s_hat is not None and r.var_s_hat > 0]
+    usable = usable_rows(rows)
     if len(usable) < 3:
         raise ValueError("need at least 3 rows with positive variances")
-    ns = np.array([r.n for r in usable], dtype=float)
+    x = np.log(np.array([r.n for r in usable], dtype=float))
     vs = np.array([r.var_s_hat for r in usable], dtype=float)
-    slope, intercept = np.polyfit(np.log(ns), np.log(vs), 1)
-    ci = None
-    if raw_areas is not None and all(r.n in raw_areas for r in usable):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, _BOOTSTRAP_KEY, 2]))
-        slopes = np.empty(EXPONENT_BOOTSTRAP_RESAMPLES)
-        logn = np.log(ns)
-        for b in range(EXPONENT_BOOTSTRAP_RESAMPLES):
-            logv = np.empty(len(usable))
-            for i, row in enumerate(usable):
-                areas = raw_areas[row.n]
-                idx = rng.integers(0, areas.size, areas.size)
-                logv[i] = math.log(areas[idx].var(ddof=1))
-            slopes[b] = np.polyfit(logn, logv, 1)[0]
-        lo, hi = np.percentile(slopes, [2.5, 97.5])
-        ci = (float(lo), float(hi))
-    return float(slope), float(intercept), ci
+    slope = float(np.polyfit(x, np.log(vs), 1)[0])
+    if any(r.var_s_se is None for r in usable):
+        return slope, None
+    dx = x - x.mean()
+    c = dx / (dx @ dx)
+    ses = np.array([r.var_s_se for r in usable], dtype=float)
+    half = 1.96 * math.sqrt(float(np.sum((c * ses / vs) ** 2)))
+    return slope, (slope - half, slope + half)
 
 
 def dof_scaling_exponent(n_list, beta: float, band_rounding: str = "ceil") -> float:
@@ -412,7 +385,7 @@ def chaos_variance_prediction(
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
     var_h2 = h2_variance_formula(spec)
-    w2 = jq_coefficient(2, u) ** 2 / 4.0
+    w2 = chaos_weight(2, u)
     rows = [ChaosVarianceRow(q=2, weight=w2, var_hq=var_h2, contribution=w2 * var_h2,
                              method="coefficient_exact")]
     var_s_hat = None
@@ -420,7 +393,7 @@ def chaos_variance_prediction(
         data = _run_replicates(spec, build_grid(q_max * spec.n), u, q_max, master_seed, replicates, 1)
         var_s_hat = float(data["area"].var(ddof=1))
         for q in range(3, q_max + 1):
-            w = jq_coefficient(q, u) ** 2 / math.factorial(q) ** 2
+            w = chaos_weight(q, u)
             v = float(data["h"][:, q].var(ddof=1))
             rows.append(ChaosVarianceRow(q=q, weight=w, var_hq=v, contribution=w * v, method="quadrature"))
     leading = (u * float(gaussian_pdf(u))) ** 2 / 4.0 * var_h2

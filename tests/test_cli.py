@@ -38,6 +38,13 @@ def test_covariance_epsilon_validation():
     assert run_cli(["covariance", "--beta", "0.5"]) == 2
 
 
+def test_covariance_psi_max_past_the_sphere_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "prof.csv"
+    assert run_cli(["covariance", "--n", "64", "--beta", "0.5", "--psi-max", "1000", "--out", str(out)]) == 2
+    assert "psi_max <= alpha*n*pi" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_dump(tmp_path):
     out = tmp_path / "field.csv"
     rc = run_cli(["simulate", "--n", "12", "--beta", "0.5", "--seed", "3", "--out", str(out)])
@@ -165,6 +172,19 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys, line):
     argv = ["excursion", "--config", str(cfg), "--n", "100", "--beta", "0.5", "--replicates", "2000"]
     assert run_cli(argv + ["--out", str(out)]) == 2
     assert f"{cfg}:2: bad value for {line.split()[0]}: invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", [["--n", "1", "--beta", "0.5"], ["--n", "64", "--beta", "1.5"]])
+@pytest.mark.parametrize("command", ["excursion", "clt", "scaling", "chaos"])
+def test_bad_band_is_a_usage_error(tmp_path, capsys, command, band):
+    if command in ("scaling", "chaos"):
+        band = ["--n", f"{band[1]},128,256", *band[2:]]
+    out = tmp_path / "out"
+    argv = [command, *band, "--replicates", "500", "--out", str(out)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Experiment orchestration: reproducibility, estimator calibration, fits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,28 @@ def test_result_invariant_under_worker_count(monkeypatch):
                 assert np.array_equal(r1.replicate_data[n][key], r2.replicate_data[n][key])
 
 
+def test_pool_is_bounded_by_the_cpu_count(monkeypatch):
+    base = dict(n_list=(16,), beta=0.5, replicates=100, mode="field_full", master_seed=5, q_max=2)
+    r1 = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    sizes = []
+    pool = ex.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    r2 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=64))
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: None)
+    r3 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=3))
+    assert sizes == [2, 1]
+    for r in (r2, r3):
+        assert ex.row_to_dict(r.rows[0]) == ex.row_to_dict(r1.rows[0])
+        for key in ("area", "h", "h2_exact", "seed"):
+            assert np.array_equal(r.replicate_data[16][key], r1.replicate_data[16][key])
+
+
 def test_rerun_is_bit_identical():
     cfg = ex.ExperimentConfig(n_list=(16,), beta=0.5, replicates=120, mode="field_full", master_seed=77)
     r1 = ex.run_variance_sweep(cfg)
@@ -90,14 +114,14 @@ def test_modes_statistically_indistinguishable():
 
 
 def test_per_n_failure_does_not_abort_sweep(monkeypatch):
-    real = ex._field_row
+    real = ex._sweep_row
 
     def flaky(config, n):
         if n == 24:
             raise RuntimeError("synthetic failure")
         return real(config, n)
 
-    monkeypatch.setattr(ex, "_field_row", flaky)
+    monkeypatch.setattr(ex, "_sweep_row", flaky)
     cfg = ex.ExperimentConfig(n_list=(16, 24, 32), beta=0.5, replicates=120, mode="field_full", master_seed=3)
     res = ex.run_variance_sweep(cfg)
     assert res.rows[1].error is not None and "synthetic failure" in res.rows[1].error
@@ -107,9 +131,23 @@ def test_per_n_failure_does_not_abort_sweep(monkeypatch):
 
 def test_fit_scaling_exponent_exact_synthetic():
     rows = [ex.SweepRow(n=n, ell_min=0, dof=1, var_s_hat=3.7 * n**-2.0) for n in (64, 128, 256, 512)]
-    slope, intercept, ci = ex.fit_scaling_exponent(rows)
+    slope, ci = ex.fit_scaling_exponent(rows)
     assert abs(slope + 2.0) <= 1e-12
     assert ci is None
+
+
+def test_fit_scaling_exponent_delta_method_ci():
+    # x = log n = log 64 + k log 2, k = 0..3: x - mean(x) = (k - 1.5) log 2 and
+    # S_xx = 5 (log 2)^2, so c_k = (k - 1.5) / (5 log 2).  Relative SEs
+    # se/v = 0.1, 0.2, 0.1, 0.2 give Var(slope) = (2.25 * 0.01 + 0.25 * 0.04
+    # + 0.25 * 0.01 + 2.25 * 0.04) / (25 (log 2)^2) = 0.125 / (25 (log 2)^2).
+    rel = (0.1, 0.2, 0.1, 0.2)
+    rows = [ex.SweepRow(n=n, ell_min=0, dof=1, var_s_hat=3.7 * n**-1.5, var_s_se=f * 3.7 * n**-1.5)
+            for n, f in zip((64, 128, 256, 512), rel)]
+    slope, ci = ex.fit_scaling_exponent(rows)
+    half = 1.96 * math.sqrt(0.125) / (5.0 * math.log(2.0))
+    assert abs(slope + 1.5) <= 1e-12
+    assert ci == pytest.approx((slope - half, slope + half), rel=1e-12)
 
 
 def test_dof_scaling_exponent_two_frequency_band():
@@ -123,7 +161,7 @@ def test_dof_scaling_exponent_two_frequency_band():
 def test_dof_scaling_exponent_matches_fit_on_exact_variances(beta):
     n_list = (64, 128, 256, 512)
     rows = [ex.SweepRow(n=n, ell_min=0, dof=1, var_s_hat=0.37 / make_spec(n, beta).dof) for n in n_list]
-    slope, _, _ = ex.fit_scaling_exponent(rows)
+    slope, _ = ex.fit_scaling_exponent(rows)
     assert abs(slope - ex.dof_scaling_exponent(n_list, beta)) <= 1e-12
 
 
