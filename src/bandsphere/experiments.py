@@ -1,12 +1,11 @@
 """Monte Carlo experiment orchestration: variance sweeps over the top
 frequency, scaling-exponent regression, CLT testing, and chaos-dominance
-diagnostics, with bootstrap standard errors and a delta-method exponent CI.
+diagnostics, with closed-form standard errors and a delta-method exponent CI.
 
 Reproducibility contract: a config plus master seed determines every output
 bit, independently of the worker count and of the process start method.
 Every generator comes from field.replicate_rng: replicate streams are keyed
-by (master_seed, n, replicate_index), the bootstrap draws of a row by
-(master_seed, n, _BOOTSTRAP_KEY); replicate results are collected into
+by (master_seed, n, replicate_index); replicate results are collected into
 arrays indexed by replicate, so reductions always run in the same order.
 """
 
@@ -30,9 +29,7 @@ from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
 
-_BOOTSTRAP_KEY = 1_000_003  # stream-key tag separating bootstrap draws from replicates
-
-BOOTSTRAP_RESAMPLES = 1000  # per standard error of a variance or a mean
+BOOTSTRAP_RESAMPLES = 1000  # per bootstrap standard error (a test reference only)
 
 MODES = ("field_full", "h2_direct")
 
@@ -110,22 +107,9 @@ def ks_statistic(sample: np.ndarray) -> float:
     return float(max((i / r - cdf).max(), (cdf - (i - 1) / r).max()))
 
 
-def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    both = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, both, side="right") / a.size
-    cdf_b = np.searchsorted(b, both, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
 def ks_critical_one_sample(r: int) -> float:
     """Asymptotic 1% two-sided critical value for a sample of size r."""
     return KS_COEFF_1PCT / math.sqrt(r)
-
-
-def ks_critical_two_sample(n1: int, n2: int) -> float:
-    return KS_COEFF_1PCT * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 def clt_test(samples: np.ndarray) -> tuple[float, bool]:
@@ -142,8 +126,22 @@ def clt_test(samples: np.ndarray) -> tuple[float, bool]:
     return stat, stat < ks_critical_one_sample(samples.size)
 
 
+def variance_se(values: np.ndarray) -> float:
+    """Moment standard error of the sample variance s^2 (ddof=1) of r values:
+    sqrt((m4 - s^4 (r-3)/(r-1)) / r), m4 the fourth central sample moment.
+    The radicand is never negative: m4 >= m2^2 = s^4 ((r-1)/r)^2, and
+    (r-1)^3 - r^2 (r-3) = 3r - 1 > 0."""
+    r = values.size
+    dev = values - values.mean()
+    dev2 = dev * dev
+    s2 = float(dev2.sum()) / (r - 1)
+    m4 = float(dev2 @ dev2) / r
+    return math.sqrt((m4 - s2 * s2 * (r - 3) / (r - 1)) / r)
+
+
 def bootstrap_variance_se(values: np.ndarray, rng: np.random.Generator) -> float:
-    """Bootstrap standard error of the sample variance (ddof=1)."""
+    """Bootstrap standard error of the sample variance (ddof=1); the
+    reference that the tests hold variance_se against."""
     values = np.asarray(values, dtype=float)
     r = values.size
     boots = np.empty(BOOTSTRAP_RESAMPLES)
@@ -153,6 +151,8 @@ def bootstrap_variance_se(values: np.ndarray, rng: np.random.Generator) -> float
 
 
 def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator) -> float:
+    """Bootstrap standard error of the mean; a test reference like
+    bootstrap_variance_se."""
     values = np.asarray(values, dtype=float)
     r = values.size
     boots = np.empty(BOOTSTRAP_RESAMPLES)
@@ -229,8 +229,9 @@ def _sweep_row(config: ExperimentConfig, n: int):
     The mode chooses only where the arrays come from: synthesized fields
     (area, chaos integrals and exact h2 of each replicate) or direct
     chi-square draws of h2.  Every statistic of the row is computed from the
-    arrays present.  The bootstrap draws come from one stream per n in the
-    fixed order var_s, mean_s, var_h2, var_h3, ...
+    arrays present, and every standard error in closed form: the exact one
+    for Var(h2), the moment one for the other variances, s/sqrt(r) for the
+    mean.
     """
     spec = make_spec(n, config.beta, config.band_rounding)
     if config.mode == "field_full":
@@ -242,25 +243,27 @@ def _sweep_row(config: ExperimentConfig, n: int):
     else:
         draws = h2_sample_direct(spec, replicate_rng(config.master_seed, n, 0), size=config.replicates)
         data = {"h2_exact": draws}
-    boot_rng = replicate_rng(config.master_seed, n, _BOOTSTRAP_KEY)
     areas = data.get("area")
     h2x = data["h2_exact"]
-    stats = {}
-    if areas is not None:
-        stats.update(
-            var_s_hat=float(areas.var(ddof=1)),
-            var_s_se=bootstrap_variance_se(areas, boot_rng),
-            mean_s_hat=float(areas.mean()),
-            mean_s_se=bootstrap_mean_se(areas, boot_rng),
-        )
-    stats.update(var_h2_hat=float(h2x.var(ddof=1)), var_h2_se=bootstrap_variance_se(h2x, boot_rng))
+    r = h2x.size
+    var_h2 = h2_variance_formula(spec)
+    # h2 = c (chi2_D - D) in both modes, with excess kurtosis 12/D, so the
+    # standard error of its sample variance is known exactly
+    stats = {
+        "var_h2_hat": float(h2x.var(ddof=1)),
+        "var_h2_se": var_h2 * math.sqrt(2.0 / (r - 1) + 12.0 / (spec.dof * r)),
+    }
     if areas is not None:
         h = data["h"]
+        var_s = float(areas.var(ddof=1))
         var_hq = {q: float(h[:, q].var(ddof=1)) for q in range(3, config.q_max + 1)}
-        var_s = stats["var_s_hat"]
         stats.update(
+            var_s_hat=var_s,
+            var_s_se=variance_se(areas),
+            mean_s_hat=float(areas.mean()),
+            mean_s_se=math.sqrt(var_s / r),
             var_hq=var_hq,
-            var_hq_se={q: bootstrap_variance_se(h[:, q], boot_rng) for q in var_hq},
+            var_hq_se={q: variance_se(h[:, q]) for q in var_hq},
             chaos_ratios={q: chaos_weight(q, config.u) * v / var_s
                           for q, v in {2: stats["var_h2_hat"], **var_hq}.items()} if var_s > 0 else {2: math.nan},
         )
@@ -270,7 +273,7 @@ def _sweep_row(config: ExperimentConfig, n: int):
         n=n,
         ell_min=spec.ell_min,
         dof=spec.dof,
-        var_h2_exact_formula=h2_variance_formula(spec),
+        var_h2_exact_formula=var_h2,
         clt_ks_stat=ks_stat,
         clt_pass=ks_pass,
         **stats,

@@ -51,7 +51,7 @@ def dominance_run():
 
 def test_criterion_1_exact_second_chaos_variance():
     # Var over 1e5 direct chi-square draws at (n=100, beta=0.5) matches
-    # 2 (4 pi)^2 / 1176 within 3 bootstrap SEs
+    # 2 (4 pi)^2 / 1176 within 3 exact SEs
     cfg = ex.ExperimentConfig(
         n_list=(100,), beta=0.5, replicates=100_000, master_seed=MASTER_SEED,
         mode="h2_direct",

@@ -113,6 +113,54 @@ def test_modes_statistically_indistinguishable():
     assert max(lo1, lo2) <= min(hi1, hi2)
 
 
+def test_var_h2_flag_null_false_failure_rate():
+    # the 3-SE var_h2 flag of `excursion` over 2000 null sweeps at D = 93 and
+    # r = 120, near the 100-replicate minimum; nominal two-sided rate 0.27%
+    assert make_spec(16, 0.5).dof == 93
+    trials, fails = 2000, 0
+    for seed in range(trials):
+        cfg = ex.ExperimentConfig(n_list=(16,), beta=0.5, replicates=120, mode="h2_direct", master_seed=seed)
+        row = ex.run_variance_sweep(cfg).rows[0]
+        fails += abs(row.var_h2_hat - row.var_h2_exact_formula) > 3.0 * row.var_h2_se
+    assert fails / trials <= 0.01
+
+
+def test_closed_form_ses_agree_with_the_bootstrap():
+    cfg = ex.ExperimentConfig(n_list=(16,), beta=0.5, replicates=600, mode="field_full", master_seed=7, q_max=4)
+    res = ex.run_variance_sweep(cfg)
+    row, data = res.rows[0], res.replicate_data[16]
+    rng = np.random.default_rng(7)
+    pairs = [
+        (row.var_s_se, ex.bootstrap_variance_se(data["area"], rng)),
+        (row.mean_s_se, ex.bootstrap_mean_se(data["area"], rng)),
+        (row.var_hq_se[3], ex.bootstrap_variance_se(data["h"][:, 3], rng)),
+        (row.var_hq_se[4], ex.bootstrap_variance_se(data["h"][:, 4], rng)),
+    ]
+    for closed, boot in pairs:
+        assert abs(closed / boot - 1.0) <= 0.10
+
+
+def test_variance_se_moment_formula():
+    # values 0, 0, 0, 4: mean 1, s^2 = 12 / 3 = 4, m4 = (3 * 1 + 81) / 4 = 21,
+    # (r - 3) / (r - 1) = 1/3
+    se = ex.variance_se(np.array([0.0, 0.0, 0.0, 4.0]))
+    assert se == pytest.approx(math.sqrt((21.0 - 16.0 / 3.0) / 4.0), rel=1e-14)
+    assert ex.variance_se(np.full(100, 2.5)) == 0.0
+
+
+@pytest.mark.parametrize("mode", ex.MODES)
+def test_sweep_rows_use_no_bootstrap(monkeypatch, mode):
+    def spy(*args, **kwargs):
+        raise AssertionError("bootstrap called")
+
+    monkeypatch.setattr(ex, "bootstrap_variance_se", spy)
+    monkeypatch.setattr(ex, "bootstrap_mean_se", spy)
+    cfg = ex.ExperimentConfig(n_list=(16, 24), beta=0.5, replicates=500, mode=mode, master_seed=3, q_max=3)
+    for row in ex.run_variance_sweep(cfg).rows:
+        assert row.error is None
+        assert row.var_h2_se > 0
+
+
 def test_per_n_failure_does_not_abort_sweep(monkeypatch):
     real = ex._sweep_row
 
@@ -194,13 +242,6 @@ def test_clt_test_degenerate_input():
         ex.clt_test(np.ones(600))
     with pytest.raises(ValueError):
         ex.clt_test(np.random.default_rng(0).standard_normal(100))
-
-
-def test_ks_two_sample_basics():
-    a = np.linspace(0, 1, 500)
-    assert ex.ks_statistic_two_sample(a, a) == 0.0
-    b = a + 10.0
-    assert ex.ks_statistic_two_sample(a, b) == 1.0
 
 
 def test_chaos_dominance_report_small():
