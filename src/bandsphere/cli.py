@@ -13,6 +13,7 @@ Exit codes: 0 all acceptance flags pass, 1 numerical/acceptance failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -343,6 +344,7 @@ _SUBCOMMANDS = {
 _NO_FLAG = {("clt", "q_max")}
 
 
+@functools.cache  # parsing does not change the parser, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandsphere",

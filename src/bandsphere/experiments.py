@@ -100,11 +100,18 @@ class ExperimentResult:
 
 def ks_statistic(sample: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance to the standard normal CDF."""
-    z = np.sort(np.asarray(sample, dtype=float))
+    return _ks_sorted(np.sort(np.asarray(sample, dtype=float)))
+
+
+def _ks_sorted(z: np.ndarray) -> float:
+    """ks_statistic of an ascending sample; overwrites z."""
     r = z.size
-    cdf = np.asarray(gaussian_cdf(z))
-    i = np.arange(1, r + 1)
-    return float(max((i / r - cdf).max(), (cdf - (i - 1) / r).max()))
+    cdf = gaussian_cdf(z)
+    steps = np.arange(r + 1, dtype=float)
+    steps /= r  # i/r for i = 0..r
+    d_minus = np.subtract(cdf, steps[:-1], out=z).max()
+    d_plus = np.subtract(steps[1:], cdf, out=z).max()
+    return float(max(d_plus, d_minus))
 
 
 def ks_critical_one_sample(r: int) -> float:
@@ -121,8 +128,10 @@ def clt_test(samples: np.ndarray) -> tuple[float, bool]:
     sd = samples.std(ddof=1)
     if not sd > 0:
         raise ValueError("degenerate sample: zero standard deviation")
-    z = (samples - samples.mean()) / sd
-    stat = ks_statistic(z)
+    z = samples - samples.mean()
+    z /= sd
+    z.sort()
+    stat = _ks_sorted(z)
     return stat, stat < ks_critical_one_sample(samples.size)
 
 

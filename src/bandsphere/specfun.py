@@ -8,6 +8,7 @@ dataclasses and safe to share across threads/processes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -298,16 +299,93 @@ def gaussian_pdf(u: np.ndarray | float) -> np.ndarray | float:
     return np.exp(-0.5 * np.square(u)) / SQRT_2PI
 
 
-_erfc_vec = np.frompyfunc(math.erfc, 1, 1)
+# The array path of gaussian_cdf writes Phi(-a) = g(a) exp(-a^2/2), a = |u|,
+# where g(a) = exp(a^2/2) Phi(-a) is the Mills ratio over sqrt(2 pi): smooth and
+# slowly varying, so a low-degree polynomial per short interval holds it to a
+# few ulp.  Interval j is centred on a = j * _MILLS_STEP, up to _MILLS_CUT;
+# beyond it the Mills ratio's continued fraction converges in _MILLS_CF_DEPTH
+# steps (relative error < 1e-15 for a > 6).
+_MILLS_STEP = 1.0 / 32.0
+_MILLS_DEGREE = 6
+_MILLS_CUT = 6.0
+_MILLS_CF_DEPTH = 20
+# points per block: a block's temporaries stay in cache, and a call needs
+# little memory beyond its output array
+_CDF_BLOCK = 8192
+
+
+@functools.cache
+def _mills_table() -> np.ndarray:
+    """Row j holds the monomial coefficients in t = a/_MILLS_STEP - j, |t| <= 1/2,
+    of the polynomial through g at the interval's Chebyshev nodes.  Built on
+    first use: a run that never takes the array path does not pay for it."""
+    k = np.arange(_MILLS_DEGREE + 1)
+    t = 0.5 * np.cos((2 * k + 1) * math.pi / (2 * _MILLS_DEGREE + 2))
+    x = (np.arange(round(_MILLS_CUT / _MILLS_STEP) + 1) + t[:, None]) * (_MILLS_STEP / math.sqrt(2.0))
+    g = 0.5 * np.exp(x * x) * np.fromiter(map(math.erfc, x.flat), float, x.size).reshape(x.shape)
+    return np.ascontiguousarray(np.linalg.solve(t[:, None] ** k, g).T)
+
+
+def _mills_tail(a: np.ndarray) -> np.ndarray:
+    # g(a) = 1 / (sqrt(2 pi) (a + 1/(a + 2/(a + 3/(a + ...)))))
+    f = a
+    for k in range(_MILLS_CF_DEPTH, 0, -1):
+        f = a + k / f
+    return 1.0 / (SQRT_2PI * f)
+
+
+def _gaussian_cdf_block(u: np.ndarray, out: np.ndarray) -> None:
+    # exp(-a^2/2) is 0 long before a = 40, and the cap keeps a*a and the tail
+    # finite; NaN stays NaN
+    a = np.abs(u)
+    np.minimum(a, 40.0, out=a)
+    # interval index and local variable; fmin sends NaN to the last interval,
+    # whose value the NaN factor exp(-a^2/2) replaces
+    t = np.fmin(a, _MILLS_CUT)
+    t *= 1.0 / _MILLS_STEP
+    j = np.rint(t)
+    t -= j
+    coeffs = _mills_table().take(j.astype(np.intp), axis=0)
+    g = coeffs[:, _MILLS_DEGREE].copy()
+    for k in range(_MILLS_DEGREE - 1, -1, -1):
+        g *= t
+        g += coeffs[:, k]
+    far = a > _MILLS_CUT
+    if far.any():
+        g[far] = _mills_tail(a[far])
+    np.multiply(a, a, out=t)
+    t *= -0.5
+    np.exp(t, out=t)
+    g *= t
+    # Phi(u) = |s - Phi(-|u|)| with s = 1 for u > 0 and s = 0 for u < 0; at
+    # u = 0 either s gives 1/2.  s = ceil(clip(u, 0, 1)) keeps it in floats.
+    np.clip(u, 0.0, 1.0, out=out)
+    np.ceil(out, out=out)
+    out -= g
+    np.abs(out, out=out)
 
 
 def gaussian_cdf(u: np.ndarray | float) -> np.ndarray | float:
-    """Standard Gaussian distribution function via the complementary error
-    function, |error| <= 1e-12."""
-    if np.isscalar(u):
-        return 0.5 * math.erfc(-u / math.sqrt(2.0))
+    """Standard Gaussian distribution function Phi(u), |error| <= 1e-12.
+
+    A scalar or 0-d input gives a float from ``math.erfc``.  An array gives
+    an array of its shape, computed in blocks with numpy alone: a degree-6
+    polynomial per interval of width 1/32 in |u| interpolates the scaled
+    Mills ratio exp(u^2/2) Phi(-|u|) below |u| = 6, its continued fraction
+    takes over above, and exp(-u^2/2) restores the scale.  Against
+    ``math.erfc`` the absolute error is at most ~3e-16 everywhere, and the
+    relative error in the lower tail stays below ~u^2 * 2e-16 (2.4e-13 at
+    u = -38, where Phi underflows); NaN stays NaN and -inf, inf give 0, 1.
+    """
+    if np.ndim(u) == 0:
+        return 0.5 * math.erfc(-float(u) / math.sqrt(2.0))
     u = np.asarray(u, dtype=float)
-    return 0.5 * _erfc_vec(-u / math.sqrt(2.0)).astype(float)
+    out = np.empty(u.shape)
+    flat_u, flat_out = u.ravel(), out.reshape(-1)
+    for start in range(0, flat_u.size, _CDF_BLOCK):
+        stop = start + _CDF_BLOCK
+        _gaussian_cdf_block(flat_u[start:stop], flat_out[start:stop])
+    return out
 
 
 def jq_coefficient(q: int, u: float) -> float:

@@ -211,6 +211,28 @@ def test_worker_flag_does_not_change_output(tmp_path):
     assert a["rows"] == b["rows"]
 
 
+def test_parser_reused_across_calls_gives_identical_files(tmp_path):
+    from bandsphere import cli
+
+    calls = [
+        ["excursion", "--mode", "h2-direct", "--n", "100", "--beta", "0.5", "--replicates", "2000",
+         "--seed", "11", "--u", "0.5"],
+        ["covariance", "--n", "64", "--beta", "0.4", "--points", "50"],
+        ["excursion", "--mode", "h2-direct", "--n", "100", "--beta", "0.5", "--replicates", "2000"],
+    ]
+    files = {}
+    for label in ("fresh", "reused"):
+        for k, argv in enumerate(calls):
+            if label == "fresh":
+                cli.build_parser.cache_clear()
+            out = tmp_path / f"{label}{k}"
+            assert run_cli(argv + ["--out", str(out)]) in (0, 1)
+            files[label, k] = out.read_bytes()
+    assert cli.build_parser() is cli.build_parser()
+    for k in range(len(calls)):
+        assert files["reused", k] == files["fresh", k]
+
+
 def test_help_lists_defaults(capsys):
     from bandsphere import cli
 

@@ -1,12 +1,17 @@
 """Experiment orchestration: reproducibility, estimator calibration, fits."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bandsphere
 from bandsphere import experiments as ex
-from bandsphere.chaos import chaos_integrals, h2_variance_formula
+from bandsphere.chaos import chaos_integrals, h2_sample_direct, h2_variance_formula
 from bandsphere.field import make_spec, replicate_rng, sample_coefficients, synthesize
 from bandsphere.grid import build_grid
 
@@ -235,6 +240,37 @@ def test_clt_test_calibration():
     rng = np.random.default_rng(123)
     passes = sum(ex.clt_test(rng.standard_normal(10_000))[1] for _ in range(100))
     assert passes >= 95
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_clt_ks_statistic_matches_scipy(n):
+    stats = pytest.importorskip("scipy.stats")
+    draws = h2_sample_direct(make_spec(n, 0.5), replicate_rng(7, n, 0), size=100_000)
+    z = (draws - draws.mean()) / draws.std(ddof=1)
+    reference = stats.kstest(z, "norm").statistic
+    inputs = draws.copy(), z.copy()
+    assert ex.clt_test(draws)[0] == pytest.approx(reference, abs=1e-12)
+    assert ex.ks_statistic(z) == pytest.approx(reference, abs=1e-12)
+    # both sort their own copy in place, never the caller's array
+    assert np.array_equal(draws, inputs[0]) and np.array_equal(z, inputs[1])
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency in pyproject.toml
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from bandsphere import experiments, specfun\n"
+        "z = np.random.default_rng(0).standard_normal(1000)\n"
+        "assert specfun.gaussian_cdf(z).shape == z.shape\n"
+        "experiments.clt_test(z)\n"
+    )
+    src = str(pathlib.Path(bandsphere.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_clt_test_degenerate_input():

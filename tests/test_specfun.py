@@ -299,6 +299,53 @@ def test_gaussian_cdf_symmetry(u):
     assert sf.gaussian_cdf(u) + sf.gaussian_cdf(-u) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gaussian_cdf_array_path_vs_math_erfc():
+    # the array path is its own kernel; the scalar path is math.erfc itself
+    u = np.linspace(-40.0, 40.0, 160_001)
+    exact = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in u.tolist()])
+    got = sf.gaussian_cdf(u)
+    assert np.max(np.abs(got - exact)) <= 1e-14
+    # the lower tail keeps its relative accuracy down to u = -30
+    tail = (u < -1.0) & (u > -30.0)
+    assert np.max(np.abs(got[tail] / exact[tail] - 1.0)) <= 1e-12
+
+
+def test_gaussian_cdf_array_path_vs_scipy_ndtr():
+    special = pytest.importorskip("scipy.special")
+    u = np.linspace(-40.0, 40.0, 2_000_001)
+    assert np.max(np.abs(sf.gaussian_cdf(u) - special.ndtr(u))) <= 1e-14
+
+
+def test_gaussian_cdf_array_non_finite_values():
+    u = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0])
+    got = sf.gaussian_cdf(u)
+    assert np.isnan(got[0])
+    assert got[1:].tolist() == [1.0, 0.0, 1.0, 0.0, 0.5, 0.5]
+
+
+def test_gaussian_cdf_array_shapes():
+    x = np.random.default_rng(4).standard_normal((300, 70)) * 3.0
+    flat = sf.gaussian_cdf(x.ravel())
+    assert np.array_equal(sf.gaussian_cdf(x), flat.reshape(x.shape))
+    assert np.array_equal(sf.gaussian_cdf(np.asfortranarray(x)), flat.reshape(x.shape))
+    strided = x[::3, ::2]
+    assert np.array_equal(sf.gaussian_cdf(strided), sf.gaussian_cdf(np.ascontiguousarray(strided)))
+    assert sf.gaussian_cdf(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_gaussian_cdf_array_symmetry():
+    u = np.linspace(0.0, 12.0, 100_001)
+    assert np.max(np.abs(sf.gaussian_cdf(u) + sf.gaussian_cdf(-u) - 1.0)) <= 1e-15
+
+
+def test_gaussian_cdf_zero_dimensional_input():
+    for u in (-2.5, 0.0, 0.3, 7.0):
+        got = sf.gaussian_cdf(np.array(u))
+        assert isinstance(got, float) and got == sf.gaussian_cdf(u)
+        for q in range(4):
+            assert sf.jq_coefficient(q, np.array(u)) == sf.jq_coefficient(q, u)
+
+
 def test_jq_low_order_closed_forms():
     # J_1 = -phi, J_2 = -u phi, J_3 = (1 - u^2) phi
     for u in (-1.4, 0.0, 0.33, 2.2):
