@@ -9,6 +9,7 @@ from .chaos import (
     ChaosProjection,
     ExcursionResult,
     chaos_projection,
+    chaos_variance,
     excursion_area,
     h2_exact_from_coeffs,
     h2_sample_direct,

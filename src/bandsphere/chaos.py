@@ -3,7 +3,8 @@
 The q-th chaos functional is the sphere integral of H_q(field).  For q = 2 it
 collapses to c_norm * sum(coeffs^2) - 4*pi, a shifted chi-square with
 ``spec.dof`` degrees of freedom, which doubles as a fast sampling oracle that
-needs no synthesis.
+needs no synthesis.  The variance of every chaos functional is fixed by the
+covariance alone (chaos_variance).
 
 Excursion areas use the strict inequality field > u; the boundary set
 {field = u} has measure zero almost surely, so the non-strict variant is
@@ -12,21 +13,21 @@ indistinguishable in law.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import FieldSample, FieldSpec, HarmonicCoefficients
-from .grid import integrate_rows
-from .specfun import FOUR_PI
+from .grid import gauss_legendre_nodes, integrate_rows
+from .specfun import FOUR_PI, legendre_band_sum
 
 
 @dataclass(frozen=True)
 class ExcursionResult:
     u: float
     area: float
-    replicate_id: int
     spec: FieldSpec
 
 
@@ -37,15 +38,10 @@ class ChaosProjection:
     method: str  # "quadrature" or "coefficient_exact"
 
 
-def excursion_area(sample: FieldSample, u: float, replicate_id: int = -1) -> ExcursionResult:
+def excursion_area(sample: FieldSample, u: float) -> ExcursionResult:
     """Area of the region where the realization exceeds u (steradians)."""
     counts = np.count_nonzero(sample.values > u, axis=1)
-    return ExcursionResult(
-        u=u,
-        area=float(integrate_rows(sample.grid, counts)),
-        replicate_id=replicate_id,
-        spec=sample.spec,
-    )
+    return ExcursionResult(u=u, area=float(integrate_rows(sample.grid, counts)), spec=sample.spec)
 
 
 def _hermite_power_coefficients(q_max: int) -> np.ndarray:
@@ -107,6 +103,20 @@ def h2_exact_from_coeffs(coeffs: HarmonicCoefficients) -> float:
 def h2_variance_formula(spec: FieldSpec) -> float:
     """Exact variance of the second-chaos functional: 2 (4 pi)^2 / D."""
     return 2.0 * FOUR_PI**2 / spec.dof
+
+
+def chaos_variance(spec: FieldSpec, q: int) -> float:
+    """Exact variance of the q-th chaos functional from the covariance alone:
+    q! 8 pi^2 int_{-1}^{1} Gamma(t)^q dt.
+
+    Gamma^q is a polynomial of degree q * n in t, so the Gauss-Legendre rule
+    with q*n//2 + 1 nodes integrates it exactly.
+    """
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    t, w = gauss_legendre_nodes(q * spec.n // 2 + 1)
+    gamma = spec.c_norm / FOUR_PI * legendre_band_sum(spec.ell_min, spec.n, t)
+    return math.factorial(q) * 8.0 * math.pi**2 * float(w @ gamma**q)
 
 
 def h2_sample_direct(spec: FieldSpec, rng: np.random.Generator, size: int | None = None):

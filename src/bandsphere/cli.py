@@ -170,7 +170,7 @@ def _experiment_config(r: dict) -> ex.ExperimentConfig:
 def _sweep(r: dict) -> ex.ExperimentResult:
     """Config, memory pre-flight and variance sweep of excursion, scaling and clt."""
     config = _experiment_config(r)
-    _check_sweep_fits(config, config.q_max)
+    _check_sweep_fits(config)
     return ex.run_variance_sweep(config)
 
 
@@ -209,13 +209,13 @@ def _check_table_fits(spec, degree: int) -> None:
         )
 
 
-def _check_sweep_fits(config: ex.ExperimentConfig, q_max: int) -> None:
+def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
     """_check_table_fits for the largest n of a field-mode sweep."""
     if config.mode != "field_full":
         return
     n = config.n_list[-1]
     spec = make_spec(n, config.beta, config.band_rounding)  # checked by the config
-    _check_table_fits(spec, ex.grid_degree(n, config.oversample, q_max))
+    _check_table_fits(spec, ex.grid_degree(n, config.oversample, config.q_max))
 
 
 # --- subcommands: each takes the resolved settings ----------------------------
@@ -301,8 +301,9 @@ def cmd_clt(r: dict) -> int:
 
 
 def cmd_chaos(r: dict) -> int:
-    config = _experiment_config(r)
-    _check_sweep_fits(config, max(config.q_max, 4))  # the report runs at q_max >= 4
+    config = ex.chaos_report_config(_experiment_config(r))
+    r = dict(r, q_max=config.q_max)  # echo the q_max the report runs
+    _check_sweep_fits(config)
     report = ex.chaos_dominance_report(config)
     payload = {
         "config": _config_payload(r),

@@ -21,7 +21,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .chaos import chaos_integrals, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula
+from .chaos import (
+    chaos_integrals, chaos_variance, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula,
+)
 from .field import FieldSpec, band_table, make_spec, replicate_rng, sample_coefficients, synthesize, write_csv
 from .grid import build_grid
 from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
@@ -180,7 +182,7 @@ def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int
     coeffs = sample_coefficients(spec, rng)
     sample = synthesize(coeffs, grid)
     ints = chaos_integrals(sample, q_max)
-    area = excursion_area(sample, u, replicate_id=r).area
+    area = excursion_area(sample, u).area
     return seed_id, area, ints, h2_exact_from_coeffs(coeffs)
 
 
@@ -287,7 +289,6 @@ def _sweep_row(config: ExperimentConfig, n: int):
         clt_pass=ks_pass,
         **stats,
     )
-    data["u"] = config.u
     return row, data
 
 
@@ -365,9 +366,8 @@ def dof_scaling_exponent(n_list, beta: float, band_rounding: str = "ceil") -> fl
 class ChaosVarianceRow:
     q: int
     weight: float          # J_q(u)^2 / q!^2
-    var_hq: float          # exact formula for q = 2, Monte Carlo estimate otherwise
+    var_hq: float          # exact Var(h_q)
     contribution: float    # weight * var_hq
-    method: str
 
 
 @dataclass(frozen=True)
@@ -376,42 +376,21 @@ class ChaosVariancePrediction:
     u: float
     leading_term: float    # u^2 phi(u)^2 / 4 * 2 (4 pi)^2 / D
     rows: tuple[ChaosVarianceRow, ...]
-    var_s_hat: float | None
 
 
-def chaos_variance_prediction(
-    spec: FieldSpec,
-    u: float,
-    q_max: int,
-    replicates: int = 0,
-    master_seed: int = 0,
-) -> ChaosVariancePrediction:
-    """Predicted per-chaos contributions to Var(area).
-
-    The q = 2 row uses the exact chi-square variance; rows q >= 3 are Monte
-    Carlo estimates over ``replicates`` synthesized fields (skipped when
-    replicates == 0), drawn by the sweep's replicate kernel with the same
-    per-replicate streams on a grid of degree q_max * n.  The leading term
+def chaos_variance_prediction(spec: FieldSpec, u: float, q_max: int) -> ChaosVariancePrediction:
+    """Predicted per-chaos contributions J_q(u)^2/q!^2 Var(h_q) to Var(area)
+    for q = 2..q_max, each from the exact chaos_variance.  The leading term
     is u^2 phi(u)^2/4 * 2 (4 pi)^2 / D.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")
-    var_h2 = h2_variance_formula(spec)
-    w2 = chaos_weight(2, u)
-    rows = [ChaosVarianceRow(q=2, weight=w2, var_hq=var_h2, contribution=w2 * var_h2,
-                             method="coefficient_exact")]
-    var_s_hat = None
-    if replicates > 0 and q_max >= 3:
-        data = _run_replicates(spec, build_grid(q_max * spec.n), u, q_max, master_seed, replicates, 1)
-        var_s_hat = float(data["area"].var(ddof=1))
-        for q in range(3, q_max + 1):
-            w = chaos_weight(q, u)
-            v = float(data["h"][:, q].var(ddof=1))
-            rows.append(ChaosVarianceRow(q=q, weight=w, var_hq=v, contribution=w * v, method="quadrature"))
-    leading = (u * float(gaussian_pdf(u))) ** 2 / 4.0 * var_h2
-    return ChaosVariancePrediction(
-        spec=spec, u=u, leading_term=leading, rows=tuple(rows), var_s_hat=var_s_hat
-    )
+    rows = []
+    for q in range(2, q_max + 1):
+        w, v = chaos_weight(q, u), chaos_variance(spec, q)
+        rows.append(ChaosVarianceRow(q=q, weight=w, var_hq=v, contribution=w * v))
+    leading = (u * float(gaussian_pdf(u))) ** 2 / 4.0 * h2_variance_formula(spec)
+    return ChaosVariancePrediction(spec=spec, u=u, leading_term=leading, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -425,12 +404,18 @@ class ChaosDominanceReport:
     flags: dict[str, bool]
 
 
+def chaos_report_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The config that chaos_dominance_report runs: q_max is at least 4, the
+    highest chaos order the report tables."""
+    return replace(config, q_max=max(config.q_max, 4))
+
+
 def chaos_dominance_report(config: ExperimentConfig) -> ChaosDominanceReport:
-    """Scaled higher-chaos variance table with boundedness/decay flags."""
+    """Scaled higher-chaos variance table with boundedness/decay flags, from
+    a sweep run at chaos_report_config(config)."""
     if config.mode != "field_full":
         raise ValueError("chaos dominance report requires field_full mode")
-    if config.q_max < 4:
-        config = replace(config, q_max=4)
+    config = chaos_report_config(config)
     result = run_variance_sweep(config)
     h2_norm, q3s, q4s, ratio = {}, {}, {}, {}
     h2_ok = True
@@ -492,7 +477,7 @@ def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tup
     cols = (  # lazy, so the rows stream to the file
         map(str, range(reps)),
         repeat("", reps) if seeds is None else map(str, seeds),
-        repeat(f"{data['u']:.16e}", reps),
+        repeat(f"{result.config.u:.16e}", reps),
         column(data.get("area")),
         chaos_column(1),
         chaos_column(2),

@@ -29,7 +29,7 @@ def small_batch():
         sample = fm.synthesize(coeffs, grid)
         h[r] = ch.chaos_integrals(sample, 4)
         h2x[r] = ch.h2_exact_from_coeffs(coeffs)
-        areas[r] = ch.excursion_area(sample, 1.0, replicate_id=r).area
+        areas[r] = ch.excursion_area(sample, 1.0).area
         if r < 3:
             samples.append(sample)
     return spec, grid, areas, h, h2x, samples
@@ -166,7 +166,7 @@ def test_chaos_variance_prediction_leading_term():
     assert pred.leading_term == pytest.approx(expected, rel=1e-12)
     # leading coefficient scaled by D reproduces 32 pi^2 u^2 phi(1)^2 / 4 = 4.6229
     assert pred.leading_term * spec.dof == pytest.approx(4.622909399163687, rel=1e-12)
-    assert pred.rows[0].q == 2 and pred.rows[0].method == "coefficient_exact"
+    assert pred.rows[0].q == 2
 
 
 def test_chaos_variance_prediction_vanishes_at_zero_threshold():
@@ -176,13 +176,58 @@ def test_chaos_variance_prediction_vanishes_at_zero_threshold():
     assert jq_coefficient(2, 0.0) == 0.0
 
 
+@functools.cache
+def _sweep_row_n64_q6():
+    """Row of a 3000-replicate sweep at n = 64, beta 0.5, q_max 6, seed 7."""
+    cfg = ex.ExperimentConfig(n_list=(64,), beta=0.5, u=1.0, replicates=3000, master_seed=7, q_max=6)
+    return ex.run_variance_sweep(cfg).rows[0]
+
+
 def test_partial_sum_accounts_for_variance():
-    # sum over q = 2..6 of J_q^2/q!^2 Var_hat(h_q) captures >= 95% of Var_hat(S(1))
+    # sum over q = 2..6 of J_q^2/q!^2 Var(h_q), exact, captures >= 95% of Var_hat(S(1))
+    pred = ex.chaos_variance_prediction(fm.make_spec(64, 0.5), 1.0, q_max=6)
+    row = _sweep_row_n64_q6()
+    total = sum(r.contribution for r in pred.rows)
+    assert total >= 0.95 * row.var_s_hat
+
+
+def test_chaos_variance_matches_sweep_estimates():
+    # the sweep's Var_hat(h_q) sits within 3 SE of the exact Var(h_q) for q = 3, 4;
+    # no such gate above q = 4, where the sample variance is too skewed at 3000 draws
     spec = fm.make_spec(64, 0.5)
-    pred = ex.chaos_variance_prediction(spec, 1.0, q_max=6, replicates=3000, master_seed=7)
-    total = sum(row.contribution for row in pred.rows)
-    assert pred.var_s_hat is not None
-    assert total >= 0.95 * pred.var_s_hat
+    row = _sweep_row_n64_q6()
+    for q in (3, 4):
+        assert abs(row.var_hq[q] - ch.chaos_variance(spec, q)) <= 3.0 * row.var_hq_se[q]
+
+
+def test_chaos_variance_second_order_is_the_chi_square_variance():
+    specs = [fm.full_band_spec(n) for n in range(4, 65)] + [fm.make_spec(n, 0.5) for n in range(16, 257)]
+    for spec in specs:
+        assert ch.chaos_variance(spec, 2) == pytest.approx(ch.h2_variance_formula(spec), rel=1e-12)
+
+
+def test_chaos_variance_matches_numpy_legendre_reference():
+    # Gamma as a Legendre series, raised to the q-th power by numpy's series
+    # product; the integral over [-1, 1] of sum_l c_l P_l is 2 c_0, exactly
+    from numpy.polynomial import legendre
+
+    for spec in (fm.make_spec(12, 0.5), fm.make_spec(16, 0.5), fm.make_spec(20, 0.3), fm.full_band_spec(6),
+                 fm.full_band_spec(12)):
+        ell = np.arange(spec.ell_min, spec.n + 1)
+        gamma_coeffs = np.zeros(spec.n + 1)
+        gamma_coeffs[ell] = spec.c_norm * (2 * ell + 1) / FOUR_PI
+        for q in range(2, 7):
+            expected = math.factorial(q) * 8.0 * math.pi**2 * 2.0 * legendre.legpow(gamma_coeffs, q)[0]
+            assert ch.chaos_variance(spec, q) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError):
+        ch.chaos_variance(fm.full_band_spec(6), 0)
+
+
+def test_chaos_variance_regression_values():
+    # the scaled higher-chaos variances that criterion 10 bands, at n = 64, beta 0.5
+    spec = fm.make_spec(64, 0.5)
+    assert ch.chaos_variance(spec, 3) * 64**2 == pytest.approx(184.1, abs=0.05)
+    assert ch.chaos_variance(spec, 4) * 64**2 / math.log(64) == pytest.approx(371.5, abs=0.05)
 
 
 @functools.cache

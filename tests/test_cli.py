@@ -120,6 +120,17 @@ def test_chaos_report_structure(tmp_path):
     assert set(payload["flags"]) == {"h2_identity_ok", "q3_band_ok", "q4_band_ok", "h3_h2_decay_ok"}
 
 
+def test_chaos_echoes_the_q_max_it_runs(tmp_path):
+    # the report tables Var(h3) and Var(h4), so it runs at q_max 4 and says so
+    out = tmp_path / "chaos.json"
+    run_cli(["chaos", "--n", "16,24,32", "--beta", "0.5", "--replicates", "100", "--q-max", "2",
+             "--seed", "1", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    assert payload["config"]["q_max"] == 4
+    for row in payload["rows"]:
+        assert sorted(map(int, row["var_hq"])) == [3, 4]
+
+
 def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 100\nbeta = 0.5\nreplicates = 20000\nmode = h2_direct\nseed = 7\n")

@@ -11,7 +11,7 @@ import pytest
 
 import bandsphere
 from bandsphere import experiments as ex
-from bandsphere.chaos import chaos_integrals, h2_sample_direct, h2_variance_formula
+from bandsphere.chaos import chaos_integrals, chaos_variance, h2_sample_direct, h2_variance_formula
 from bandsphere.field import make_spec, replicate_rng, sample_coefficients, synthesize
 from bandsphere.grid import build_grid
 
@@ -346,14 +346,12 @@ def test_grid_degree_floor():
     assert ex.grid_degree(10, 2.55, 2) == 26
 
 
-def test_chaos_variance_prediction_uses_the_sweep_kernel():
-    # same streams (seed, n, replicate), same grid, same kernel: bitwise equal
-    n, q_max = 16, 4
-    pred = ex.chaos_variance_prediction(make_spec(n, 0.5), 1.0, q_max, replicates=200, master_seed=7)
-    cfg = ex.ExperimentConfig(n_list=(n,), beta=0.5, u=1.0, replicates=200, master_seed=7,
-                              oversample=4, q_max=q_max)
-    data = ex.run_variance_sweep(cfg).replicate_data[n]
-    assert pred.var_s_hat == float(data["area"].var(ddof=1))
+def test_chaos_variance_prediction_rows_are_exact():
+    spec = make_spec(16, 0.5)
+    pred = ex.chaos_variance_prediction(spec, 1.0, 4)
     assert [row.q for row in pred.rows] == [2, 3, 4]
-    for row in pred.rows[1:]:
-        assert row.var_hq == float(data["h"][:, row.q].var(ddof=1))
+    for row in pred.rows:
+        assert row.var_hq == chaos_variance(spec, row.q)
+        assert row.weight == ex.chaos_weight(row.q, 1.0)
+        assert row.contribution == row.weight * row.var_hq
+    assert pred.leading_term == pytest.approx(pred.rows[0].contribution, rel=1e-12)
