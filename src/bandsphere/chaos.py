@@ -35,7 +35,6 @@ class ExcursionResult:
 class ChaosProjection:
     q: int
     value: float
-    method: str  # "quadrature" or "coefficient_exact"
 
 
 def excursion_area(sample: FieldSample, u: float) -> ExcursionResult:
@@ -91,7 +90,7 @@ def chaos_projection(sample: FieldSample, q: int) -> ChaosProjection:
             stacklevel=2,
         )
     value = chaos_integrals(sample, q)[q]
-    return ChaosProjection(q=q, value=value, method="quadrature")
+    return ChaosProjection(q=q, value=value)
 
 
 def h2_exact_from_coeffs(coeffs: HarmonicCoefficients) -> float:

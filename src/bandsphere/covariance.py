@@ -27,6 +27,9 @@ import numpy as np
 from .field import FieldSpec, write_csv
 from .specfun import FOUR_PI, bessel_j1, jacobi_p10, legendre_band_sum
 
+# rows per block of the profile CSV: a block's strings stay small
+_CSV_BLOCK = 256
+
 
 def psi_to_theta(spec: FieldSpec, psi):
     return np.asarray(psi, dtype=float) / (spec.alpha * spec.n)
@@ -223,8 +226,27 @@ def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1, c: float = 1.0) -> 
 
 def write_profile_csv(prof: CovarianceProfile, out, header_lines: tuple[str, ...] = ()) -> None:
     """CSV with columns psi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2; absent
-    values are empty fields; 17 significant digits."""
+    values are empty fields; 17 significant digits.
+
+    Streams blocks of _CSV_BLOCK rows, each formatted with one % call per row
+    from a format chosen by the row's NaN pattern."""
     arrays = (prof.psi, prof.theta, prof.exact, prof.cd, prof.hilb, prof.lemma1_r1, prof.lemma1_r2)
-    cols = [("" if v != v else f"{v:.16e}" for v in a) for a in arrays]  # v != v: NaN
     names = ("psi", "theta", "exact", "cd", "hilb", "lemma1_r1", "lemma1_r2")
-    write_csv(out, header_lines, names, zip(*cols))
+    formats: dict[int, str] = {}
+
+    def chunks():
+        for start in range(0, prof.psi.size, _CSV_BLOCK):
+            block = np.column_stack([a[start : start + _CSV_BLOCK] for a in arrays])
+            # bit k of a row's code is set when its column k is NaN
+            codes = np.packbits(np.isnan(block), axis=1, bitorder="little").ravel().tolist()
+            lines = []
+            for code, row in zip(codes, block.tolist()):
+                fmt = formats.get(code)
+                if fmt is None:
+                    # "%.0s" takes a NaN and prints nothing: an empty field
+                    fields = ("%.0s" if code >> k & 1 else "%.16e" for k in range(len(arrays)))
+                    fmt = formats[code] = ",".join(fields) + "\n"
+                lines.append(fmt % tuple(row))
+            yield "".join(lines)
+
+    write_csv(out, header_lines, names, chunks())

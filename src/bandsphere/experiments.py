@@ -469,7 +469,7 @@ def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tup
     seeds = data.get("seed")
 
     def column(values):
-        return repeat("", reps) if values is None else (f"{v:.16e}" for v in values)
+        return repeat("", reps) if values is None else (f"{v:.16e}" for v in values.tolist())
 
     def chaos_column(q: int):
         return column(h[:, q] if h is not None and h.shape[1] > q else None)
@@ -486,7 +486,7 @@ def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tup
         chaos_column(4),
     )
     names = ("replicate", "seed", "u", "area", "h1", "h2_quad", "h2_exact", "h3", "h4")
-    write_csv(out, header_lines, names, zip(*cols))
+    write_csv(out, header_lines, names, (",".join(row) + "\n" for row in zip(*cols)))
 
 
 def row_to_dict(row: SweepRow) -> dict:

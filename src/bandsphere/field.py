@@ -236,16 +236,17 @@ def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> FieldSample:
     return FieldSample(spec=spec, grid=grid, values=values)
 
 
-def write_csv(out, header_lines, columns, rows) -> None:
-    """Write ``# `` header lines, the column line and the rows, each a sequence
-    of already formatted fields, to a path or to an open text stream."""
+def write_csv(out, header_lines, columns, chunks) -> None:
+    """Write ``# `` header lines, the column line and the body, an iterable of
+    text chunks of one or more whole CSV lines each, to a path or to an open
+    text stream."""
     close = isinstance(out, (str, bytes))
     if close:
         out = open(out, "w")
     try:
         out.writelines(f"# {line}\n" for line in header_lines)
         out.write(",".join(columns) + "\n")
-        out.writelines(",".join(row) + "\n" for row in rows)
+        out.writelines(chunks)
     finally:
         if close:
             out.close()
@@ -253,9 +254,9 @@ def write_csv(out, header_lines, columns, rows) -> None:
 
 def write_field_csv(sample: FieldSample, out, header_lines: tuple[str, ...] = ()) -> None:
     """Dump a realization as flat rows theta_index,phi_index,value."""
-    rows = (
-        (str(i), str(j), f"{v:.16e}")
+    lines = (
+        f"{i},{j},{v:.16e}\n"
         for i, row in enumerate(sample.values)
         for j, v in enumerate(row.tolist())
     )
-    write_csv(out, header_lines, ("theta_index", "phi_index", "value"), rows)
+    write_csv(out, header_lines, ("theta_index", "phi_index", "value"), lines)

@@ -17,6 +17,9 @@ import numpy as np
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 FOUR_PI = 4.0 * math.pi
 
+# Colatitudes per block of the band-table recurrence.
+_BAND_BLOCK = 128
+
 # Crossover between the J1 power series and the large-argument (Hankel)
 # expansion.  Both branches bottom out near 1.5e-12 absolute around x ~ 12;
 # see tests for the measured error envelope.
@@ -81,7 +84,10 @@ def legendre_all(ell_max: int, x: float) -> LegendreTable:
 def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.ndarray | float:
     """sum_{l=ell_min}^{ell_max} (2l+1) P_l(x), vectorized over x.
 
-    Runs the three-term recurrence once, accumulating only the band terms.
+    Runs the three-term recurrence once, in place on three buffers,
+    accumulating only the band terms.  The division-free form
+    P_l = x P_{l-1} + ((l-1)/l) (x P_{l-1} - P_{l-2}) keeps P_l(+-1) = (+-1)^l
+    exact: the bracket is exactly 0 there.
     """
     if ell_min < 0 or ell_max < ell_min:
         raise ValueError(f"need 0 <= ell_min <= ell_max, got [{ell_min}, {ell_max}]")
@@ -96,10 +102,16 @@ def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.n
         acc += p_prev
     if ell_max >= 1 and ell_min <= 1:
         acc += 3.0 * p_cur
+    xp = np.empty_like(x)
     for ell in range(2, ell_max + 1):
-        p_prev, p_cur = p_cur, ((2 * ell - 1) * x * p_cur - (ell - 1) * p_prev) / ell
+        np.multiply(x, p_cur, out=xp)
+        np.subtract(xp, p_prev, out=p_prev)
+        p_prev *= (ell - 1) / ell
+        p_prev += xp
+        p_prev, p_cur = p_cur, p_prev
         if ell >= ell_min:
-            acc += (2 * ell + 1) * p_cur
+            np.multiply(p_cur, 2 * ell + 1, out=xp)
+            acc += xp
     return float(acc[0]) if scalar else acc
 
 
@@ -139,9 +151,10 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     Returns a C-contiguous array of shape
     (ell_max + 1, ell_max - ell_min + 1, len(cos_theta)) with entry
     [m, l - ell_min, j] = N_l^m(cos_theta[j]); slots with m > l are zero.  The
-    recurrence writes each degree straight into its (m, t) slice and keeps only
-    two more rows while climbing in l, so building the table takes little more
-    memory than the table itself.
+    recurrence climbs in l over one block of colatitudes at a time, in place on
+    three preallocated (m, t) buffers of the block's width, and copies each
+    degree straight into its slice of the table, so building the table takes
+    little more memory than the table itself.
     """
     x = np.asarray(cos_theta, dtype=float)
     if x.ndim != 1:
@@ -154,27 +167,41 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     width = ell_max + 1
     out = np.zeros((width, ell_max - ell_min + 1, nt))
-    prev2 = np.zeros((width, nt))
-    prev = np.zeros((width, nt))
-    prev[0] = 1.0 / math.sqrt(FOUR_PI)
-    if ell_min == 0:
-        out[:, 0] = prev
-    for ell in range(1, ell_max + 1):
-        cur = np.zeros((width, nt))
-        m = np.arange(0, ell - 1)
-        if m.size:
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = -np.sqrt(
-                (2.0 * ell + 1.0)
-                * ((ell - 1.0) ** 2 - m * m)
-                / ((2.0 * ell - 3.0) * (ell * ell - m * m))
-            )
-            cur[: ell - 1] = (a[:, None] * x) * prev[: ell - 1] + b[:, None] * prev2[: ell - 1]
-        cur[ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * prev[ell - 1]
-        cur[ell] = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s * prev[ell - 1]
-        if ell >= ell_min:
-            out[:, ell - ell_min] = cur
-        prev2, prev = prev, cur
+    # three rolling degrees, (m, t) for one block of colatitudes at a time:
+    # nt // _BAND_BLOCK blocks (at least one) of near-equal width, so the
+    # buffers add at most 8 * 3 * (ell_max + 1) * (2 * _BAND_BLOCK - 1) bytes to
+    # the table.  Each block views the front of one flat buffer, so its rows
+    # are contiguous whatever its width.  The recurrence reads only the rows
+    # m <= l of degree l, so the rows above need no clearing.
+    blocks = max(1, nt // _BAND_BLOCK)
+    step = max(1, -(-nt // blocks))
+    flat = np.empty(3 * width * step)
+    m = np.arange(width)
+    for start in range(0, nt, step):
+        stop = min(start + step, nt)
+        prev2, prev, cur = flat[: 3 * width * (stop - start)].reshape(3, width, stop - start)
+        xb, sb = x[start:stop], s[start:stop]
+        prev[0] = 1.0 / math.sqrt(FOUR_PI)
+        if ell_min == 0:
+            out[:1, 0, start:stop] = prev[:1]
+        for ell in range(1, ell_max + 1):
+            # the operations of assoc_legendre_normalized in their order, so
+            # both give the same bits; prev2 is free once read
+            k = ell - 1
+            if k:
+                mk = m[:k]
+                d = ell * ell - mk * mk
+                a = np.sqrt((4.0 * ell * ell - 1.0) / d)
+                b = -np.sqrt((2.0 * ell + 1.0) * ((ell - 1.0) ** 2 - mk * mk) / ((2.0 * ell - 3.0) * d))
+                np.multiply(a[:, None], xb, out=cur[:k])
+                cur[:k] *= prev[:k]
+                prev2[:k] *= b[:, None]
+                cur[:k] += prev2[:k]
+            np.multiply(math.sqrt(2.0 * ell + 1.0) * xb, prev[k], out=cur[k])
+            np.multiply(-math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * sb, prev[k], out=cur[ell])
+            if ell >= ell_min:
+                out[: ell + 1, ell - ell_min, start:stop] = cur[: ell + 1]
+            prev2, prev, cur = prev, cur, prev2
     return out
 
 
@@ -195,18 +222,27 @@ def jacobi_p10(n, x: np.ndarray | float) -> np.ndarray | float:
     if np.any(np.abs(x) > 1.0):
         raise ValueError("Jacobi argument must lie in [-1, 1]")
     wanted = set(degrees.tolist())
+    out = np.empty((degrees.size, x.size))
     p_prev = np.ones_like(x)
     p_cur = (3.0 * x + 1.0) / 2.0
-    found = {k: p for k, p in ((0, p_prev), (1, p_cur)) if k in wanted}
-    for k in range(2, int(degrees.max()) + 1):
-        p_prev, p_cur = p_cur, (
-            ((2 * k + 1) * (2 * k - 1) * x + 1.0) * p_cur - (k - 1) * (2 * k + 1) * p_prev
-        ) / ((k + 1) * (2 * k - 1))
+    for k, p in ((0, p_prev), (1, p_cur)):
         if k in wanted:
-            found[k] = p_cur
+            out[degrees == k] = p
+    # in place on rolling buffers, with the operations of the formula above in
+    # its order, so the values are those of evaluating it as written
+    t = np.empty_like(x)
+    for k in range(2, int(degrees.max()) + 1):
+        np.multiply(x, (2 * k + 1) * (2 * k - 1), out=t)
+        t += 1.0
+        t *= p_cur
+        p_prev *= (k - 1) * (2 * k + 1)
+        np.subtract(t, p_prev, out=p_prev)
+        p_prev /= (k + 1) * (2 * k - 1)
+        p_prev, p_cur = p_cur, p_prev
+        if k in wanted:
+            out[degrees == k] = p_cur
     if np.ndim(n) == 0:
-        return float(found[int(n)][0]) if scalar else found[int(n)]
-    out = np.stack([found[d] for d in degrees.tolist()])
+        return float(out[0, 0]) if scalar else out[0]
     return out[:, 0] if scalar else out
 
 

@@ -84,7 +84,6 @@ def test_second_chaos_quadrature_equals_coefficient_route(small_batch):
 def test_chaos_projection_api(small_batch):
     _, _, _, h, _, samples = small_batch
     proj = ch.chaos_projection(samples[0], 2)
-    assert proj.method == "quadrature"
     assert proj.value == pytest.approx(h[0, 2], abs=1e-12)
     with pytest.raises(ValueError):
         ch.chaos_projection(samples[0], 0)

@@ -18,6 +18,17 @@ def test_gamma_exact_unit_at_zero():
     assert cv.gamma_cd(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gamma_exact_unit_at_zero_and_equal_to_cd_at_large_n():
+    # n = 6400 is the largest n the covariance benchmark runs; a recurrence
+    # that rounds P_l(1) away from 1 moves Gamma(0) by ~1e-11 here
+    spec = fm.make_spec(6400, 0.5)
+    psi = np.linspace(0.0, spec.alpha * spec.n * (math.pi - 0.05), 2001)
+    theta = cv.psi_to_theta(spec, psi)
+    exact = cv.gamma_exact(spec, theta)
+    assert exact[0] == 1.0
+    assert np.abs(exact - cv.gamma_cd(spec, theta)).max() <= 1e-10
+
+
 def test_gamma_exact_correlation_bound():
     spec = fm.make_spec(64, 0.7)
     th = np.linspace(0, math.pi, 500)
@@ -165,6 +176,31 @@ def test_profile_csv_roundtrip_bit_exact():
                 assert math.isnan(arr[i])
             else:
                 assert float(text) == arr[i]  # 17 significant digits round-trip
+
+
+def test_profile_csv_golden_bytes():
+    # each value is "" when NaN, else f"{v:.16e}", whatever the row's NaN
+    # pattern; enough rows for several blocks of the writer
+    rng = np.random.default_rng(31)
+    rows = 2 * cv._CSV_BLOCK + 37
+    cols = rng.normal(size=(7, rows)) * 10.0 ** rng.integers(-300, 300, size=(7, rows))
+    special = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300]
+    cols[:, : len(special)] = np.array(special)[None, :]
+    cols[2:, 20:40] = np.nan  # only psi and theta set
+    cols[:, 50:60] = np.nan  # nothing set
+    mixed = rng.random((7, rows)) < 0.3
+    mixed[:, :60] = False
+    cols[mixed] = np.nan
+    prof = cv.CovarianceProfile(fm.make_spec(50, 0.5), 0.1, *cols)
+    buf = io.StringIO()
+    cv.write_profile_csv(prof, buf, header_lines=("n = 50", "beta = 0.5"))
+    expect = "# n = 50\n# beta = 0.5\npsi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2\n" + "".join(
+        ",".join("" if v != v else f"{v:.16e}" for v in row) + "\n" for row in cols.T
+    )
+    assert buf.getvalue() == expect
+    empty = io.StringIO()
+    cv.write_profile_csv(cv.CovarianceProfile(prof.spec, 0.1, *np.empty((7, 0))), empty)
+    assert empty.getvalue() == "psi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2\n"
 
 
 def test_gamma_cd_one_pass_matches_two_recurrences():

@@ -256,6 +256,23 @@ def test_band_table_build_peaks_near_one_table():
     assert peak <= 1.25 * fm.band_table_bytes(spec, grid.n_theta)
 
 
+def test_band_table_build_peaks_within_a_tenth_of_the_table_at_n512():
+    # the scaling sweep's largest table (25 MB): the recurrence's buffers
+    # cover one block of colatitudes, not the whole table
+    import tracemalloc
+
+    spec, grid = fm.make_spec(512, 0.5), build_grid(2048)
+    north = grid.cos_nodes[: (grid.n_theta + 1) // 2]
+    tracemalloc.start()
+    try:
+        table = sf.assoc_legendre_band(spec.ell_min, spec.n, north)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == fm.band_table_bytes(spec, grid.n_theta)
+    assert peak <= 1.1 * table.nbytes
+
+
 def _profile_csv(out):
     from bandsphere import covariance as cv
 

@@ -143,12 +143,15 @@ def test_assoc_matches_scipy_orthonormal_convention():
 
 
 def test_assoc_band_table_matches_scalar_table():
-    thetas = np.array([0.3, 0.7, 2.0])
-    band = sf.assoc_legendre_band(5, 12, np.cos(thetas))
-    tab = sf.assoc_legendre_normalized(12, math.cos(0.7))
-    for ell in range(5, 13):
-        for m in range(ell + 1):
-            assert band[m, ell - 5, 1] == tab.values[ell, m]
+    # bitwise, on more colatitudes than one block of the band recurrence, the
+    # poles included
+    thetas = np.concatenate(([0.0, math.pi, 0.7], np.linspace(0.01, 3.13, 2 * sf._BAND_BLOCK + 41)))
+    for ell_min in (0, 5, 24):
+        band = sf.assoc_legendre_band(ell_min, 24, np.cos(thetas))
+        assert band.shape == (25, 25 - ell_min, thetas.size)
+        for j, theta in enumerate(thetas):
+            tab = sf.assoc_legendre_normalized(24, math.cos(theta)).values[ell_min:]
+            assert np.array_equal(band[:, :, j], tab.T)
 
 
 def test_assoc_domain_error():
@@ -172,6 +175,25 @@ def test_jacobi_value_at_one_is_n_plus_1():
     for n in (1, 2, 5, 9):
         assert sf.jacobi_p10(n, 1.0) == pytest.approx(jacobi10_binomial_sum(n, 1.0), abs=1e-12)
         assert sf.jacobi_p10(n, 1.0) == pytest.approx(n + 1, abs=1e-12)
+
+
+def test_band_sums_exact_at_the_poles_at_large_degree():
+    # P_l(+-1) = (+-1)^l exactly, so the band sums are the integers
+    n = 6400
+    ell_min = math.ceil(math.sqrt(1.0 - n**-0.5) * n)
+    for lo in (0, 1, ell_min):
+        ells = range(lo, n + 1)
+        at_one, at_minus_one = sf.legendre_band_sum(lo, n, np.array([1.0, -1.0]))
+        assert at_one == sum(2 * l + 1 for l in ells)
+        assert at_minus_one == sum((2 * l + 1) * (-1) ** l for l in ells)
+    assert sf.legendre_band_sum(ell_min, n, 1.0) == (n + 1) ** 2 - ell_min**2
+
+
+def test_jacobi_value_at_one_exact_at_large_degree():
+    for n in (6400, 6401):
+        assert sf.jacobi_p10(n, 1.0) == n + 1
+    rows = sf.jacobi_p10((6320, 6400), np.array([1.0, 0.5, 1.0]))
+    assert rows[:, 0].tolist() == rows[:, 2].tolist() == [6321.0, 6401.0]
 
 
 def test_jacobi_recurrence_vs_binomial_sum():
