@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import gamma_at_cos
 from .field import FieldSample, FieldSpec, HarmonicCoefficients
-from .grid import gauss_legendre_nodes, integrate_rows
-from .specfun import FOUR_PI, legendre_band_sum
+from .grid import SphereGrid, gauss_legendre_nodes, integrate_rows
+from .specfun import FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -54,25 +55,38 @@ def _hermite_power_coefficients(q_max: int) -> np.ndarray:
     return c
 
 
-def chaos_integrals(sample: FieldSample, q_max: int) -> np.ndarray:
-    """Sphere integrals of H_q(field) for q = 0..q_max.
+def power_row_sums(values: np.ndarray, q_max: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of the powers values^k for k = 0..q_max, shape
+    (q_max + 1, rows), written into ``out`` when given.
 
-    Integrates the powers field^k row by row (one in-place running power, no
-    array per order) and combines the moments with the Hermite coefficients
-    once."""
+    One in-place running power, no array per order; each row's sums depend
+    on that row alone, so a field reduced block of rows by block of rows
+    gives the same bits as the whole field."""
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    v = sample.values
-    sums = np.empty((q_max + 1, v.shape[0]))
+    v = values
+    sums = np.empty((q_max + 1, v.shape[0])) if out is None else out
     sums[0] = v.shape[1]
     if q_max >= 1:
         sums[1] = v.sum(axis=1)
-    power = v.copy() if q_max > 2 else v
+    power = v
     for k in range(2, q_max + 1):
         sums[k] = np.einsum("ij,ij->i", power, v)  # rows of v^(k-1) * v
         if k < q_max:
-            power *= v
-    return _hermite_power_coefficients(q_max) @ integrate_rows(sample.grid, sums)
+            power = v * v if power is v else np.multiply(power, v, out=power)
+    return sums
+
+
+def hermite_integrals(grid: SphereGrid, sums: np.ndarray) -> np.ndarray:
+    """Sphere integrals of H_q(field) for q = 0..q_max from the
+    (q_max + 1, n_theta) power_row_sums of the whole field."""
+    return _hermite_power_coefficients(sums.shape[0] - 1) @ integrate_rows(grid, sums)
+
+
+def chaos_integrals(sample: FieldSample, q_max: int) -> np.ndarray:
+    """Sphere integrals of H_q(field) for q = 0..q_max: the moments of the
+    field combined with the Hermite coefficients once."""
+    return hermite_integrals(sample.grid, power_row_sums(sample.values, q_max))
 
 
 def chaos_projection(sample: FieldSample, q: int) -> ChaosProjection:
@@ -114,7 +128,7 @@ def chaos_variance(spec: FieldSpec, q: int) -> float:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     t, w = gauss_legendre_nodes(q * spec.n // 2 + 1)
-    gamma = spec.c_norm / FOUR_PI * legendre_band_sum(spec.ell_min, spec.n, t)
+    gamma = gamma_at_cos(spec, t)
     return math.factorial(q) * 8.0 * math.pi**2 * float(w @ gamma**q)
 
 

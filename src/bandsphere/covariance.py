@@ -46,18 +46,24 @@ def _check_theta(theta) -> np.ndarray:
     return theta
 
 
+def gamma_at_cos(spec: FieldSpec, x) -> np.ndarray:
+    """Covariance at the cosines x of the geodesic angle: the band Legendre
+    sum divided by the integer D, so Gamma(1) = D / D = 1.0 exactly."""
+    return legendre_band_sum(spec.ell_min, spec.n, x) / spec.dof
+
+
 def gamma_exact(spec: FieldSpec, theta) -> np.ndarray | float:
     """Covariance at geodesic angle theta: the band-limited Legendre sum
-    c_norm * sum_{l=ell_min}^{n} (2l+1)/(4 pi) P_l(cos theta)."""
+    sum_{l=ell_min}^{n} (2l+1) P_l(cos theta) / D (gamma_at_cos)."""
     scalar = np.isscalar(theta)
     th = _check_theta(theta)
-    out = spec.c_norm / FOUR_PI * legendre_band_sum(spec.ell_min, spec.n, np.cos(th))
+    out = gamma_at_cos(spec, np.cos(th))
     return float(out[0]) if scalar else out
 
 
 def gamma_cd(spec: FieldSpec, theta) -> np.ndarray | float:
     """Covariance via the Christoffel-Darboux two-term closed form:
-    c_norm/(4 pi) [ (n+1) P_n^{(1,0)}(cos theta) - ell_min P_{ell_min-1}^{(1,0)}(cos theta) ].
+    [ (n+1) P_n^{(1,0)}(cos theta) - ell_min P_{ell_min-1}^{(1,0)}(cos theta) ] / D.
     """
     scalar = np.isscalar(theta)
     th = _check_theta(theta)
@@ -65,9 +71,9 @@ def gamma_cd(spec: FieldSpec, theta) -> np.ndarray | float:
     if spec.ell_min >= 1:
         # one recurrence to n passes through ell_min - 1 on the way
         lower, upper = jacobi_p10((spec.ell_min - 1, spec.n), x)
-        out = spec.c_norm / FOUR_PI * ((spec.n + 1) * upper - spec.ell_min * lower)
+        out = ((spec.n + 1) * upper - spec.ell_min * lower) / spec.dof
     else:
-        out = spec.c_norm / FOUR_PI * ((spec.n + 1) * jacobi_p10(spec.n, x))
+        out = (spec.n + 1) * jacobi_p10(spec.n, x) / spec.dof
     return float(out[0]) if scalar else out
 
 

@@ -22,10 +22,14 @@ from itertools import repeat
 import numpy as np
 
 from .chaos import (
-    chaos_integrals, chaos_variance, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula,
+    chaos_variance, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, hermite_integrals, power_row_sums,
 )
-from .field import FieldSpec, band_table, make_spec, replicate_rng, sample_coefficients, synthesize, write_csv
-from .grid import build_grid
+from .field import FieldSpec, band_table, field_blocks, make_spec, replicate_rng, sample_coefficients, write_csv
+from .grid import build_grid, integrate_rows
+# no sweep calls these whole-field functions; they stay attributes of this
+# module because the benchmark's layer tracer wraps them here
+from .chaos import chaos_integrals, excursion_area  # noqa: F401
+from .field import synthesize  # noqa: F401
 from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
@@ -175,15 +179,19 @@ def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator) -> float:
 # --- replicate evaluation ----------------------------------------------------
 
 def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, r: int):
-    """Seed id, area, chaos integrals and exact h2 of replicate r; its
-    coefficients and field are freed when it returns."""
+    """Seed id, area, chaos integrals and exact h2 of replicate r.  The field
+    is reduced block of rows by block of rows as field_blocks yields it, to
+    per-row power sums and exceedance counts; no whole field is built."""
     rng = replicate_rng(master_seed, spec.n, r)
     seed_id = rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]
     coeffs = sample_coefficients(spec, rng)
-    sample = synthesize(coeffs, grid)
-    ints = chaos_integrals(sample, q_max)
-    area = excursion_area(sample, u).area
-    return seed_id, area, ints, h2_exact_from_coeffs(coeffs)
+    sums = np.empty((q_max + 1, grid.n_theta))
+    counts = np.empty(grid.n_theta, dtype=np.intp)
+    for rows, values in field_blocks(coeffs, grid):
+        power_row_sums(values, q_max, out=sums[:, rows])
+        counts[rows] = np.count_nonzero(values > u, axis=1)
+    area = float(integrate_rows(grid, counts))
+    return seed_id, area, hermite_integrals(grid, sums), h2_exact_from_coeffs(coeffs)
 
 
 def _replicate_chunk(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, bounds):

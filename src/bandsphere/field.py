@@ -176,16 +176,24 @@ def clear_table_cache() -> None:
     _TABLE_CACHE.clear()
 
 
-def _fourier_rows(coeffs: HarmonicCoefficients, table: np.ndarray, n_theta: int) -> np.ndarray:
-    """Longitude half-spectrum of the realization on every colatitude, as an
-    (n + 1, 2, n_theta) array of real and imaginary parts of X_m(theta_t):
+# Bytes of half-spectrum per block of field_blocks: a block's spectrum and
+# field rows stay in cache between the FFT and the reductions that read them,
+# and a replicate's block buffers together stay below one field.
+_BLOCK_BYTES = 1 << 19
+
+
+def _parity_rows(coeffs: HarmonicCoefficients, table: np.ndarray) -> np.ndarray:
+    """Even and odd parts of the longitude half-spectrum on the northern rows,
+    as an (n + 1, 4, ceil(n_theta / 2)) array [m, (re, im) x (even, odd), t].
+    The field's Fourier amplitudes X_m(theta_t),
 
         T(theta_t, phi) = Re sum_m w_m X_m(theta_t) exp(i m phi),
         w_0 = 1, w_m = 2 (m > 0),
 
-    so X_0 = A_0 and X_m = (A_m - i B_m) / 2 for the cos/sin amplitudes of the
-    real harmonics; sqrt(2), 1/2 and sqrt(c_norm) are folded into the
-    coefficients before the contraction."""
+    are even + odd on the northern row t and even - odd on its southern
+    mirror.  X_0 = A_0 and X_m = (A_m - i B_m) / 2 for the cos/sin
+    amplitudes of the real harmonics; sqrt(2), 1/2 and sqrt(c_norm) are
+    folded into the coefficients before the contraction."""
     spec = coeffs.spec
     n = spec.n
     scale = np.full(n + 1, math.sqrt(0.5 * spec.c_norm))
@@ -195,45 +203,70 @@ def _fourier_rows(coeffs: HarmonicCoefficients, table: np.ndarray, n_theta: int)
     ell = np.arange(spec.ell_min, n + 1)
     odd = parts * ((ell[:, None] + np.arange(n + 1)) % 2)
     split = np.concatenate((parts - odd, odd)).transpose(2, 0, 1)  # [m, (re, im) x (even, odd), l]
-    rows = np.matmul(np.ascontiguousarray(split), table)  # [m, 4, northern t]
-    north = table.shape[2]
-    south = n_theta // 2
-    amp = np.empty((n + 1, 2, n_theta))
-    np.add(rows[:, :2], rows[:, 2:], out=amp[:, :, :north])
-    np.subtract(rows[:, :2, :south], rows[:, 2:, :south], out=amp[:, :, north:][:, :, ::-1])
-    return amp
+    return np.matmul(np.ascontiguousarray(split), table)
 
 
-def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> FieldSample:
-    """Evaluate the realization on all grid nodes.
+def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray | None = None):
+    """Evaluate the realization block of rows by block of rows.
 
-    Works separably: contract the coefficients against the band table into
-    per-colatitude Fourier amplitudes, then evaluate the longitude
-    trigonometric sum by one real FFT per row.  On a ring with n_phi <= 2n
-    longitudes the orders m > n_phi / 2 alias onto n_phi - m and are folded
-    there, conjugated, so every grid that resolves degree n takes this path.
+    Yields ``(rows, values)``: ``rows`` is a slice of colatitude indices,
+    descending for the southern blocks, and ``values`` the field on them,
+    shape (len(rows), n_phi).  With ``out`` (n_theta, n_phi) the values are
+    written into ``out[rows]``; without it every block reuses one buffer,
+    which the next block overwrites.
+
+    One batched matmul contracts the coefficients against the northern band
+    table (_parity_rows).  Then each block of northern rows, and its southern
+    mirror, is copied into a reused zero-padded half-spectrum of
+    n_phi / 2 + 1 bins, about _BLOCK_BYTES of it, and evaluated by one real
+    FFT per row.  On a ring with n_phi <= 2n longitudes the orders
+    m > n_phi / 2 alias onto n_phi - m and are folded there, conjugated, so
+    every grid that resolves degree n takes this path.
     """
     spec = coeffs.spec
     if grid.exact_degree < spec.n:
         raise ValueError(
             f"grid resolves degree {grid.exact_degree} < field degree {spec.n}"
         )
-    amp = _fourier_rows(coeffs, band_table(spec, grid), grid.n_theta)
     n = spec.n
-    # irfft zero-pads the half-spectrum from m = n + 1 to n_phi / 2 itself,
-    # and the amplitudes are freed before it allocates the field: both keep
-    # the peak memory of a replicate down
-    spectrum = np.empty((grid.n_theta, n + 1), dtype=complex)
-    spectrum.view(float).reshape(grid.n_theta, n + 1, 2)[...] = amp.transpose(2, 0, 1)
-    del amp
+    rows = _parity_rows(coeffs, band_table(spec, grid))
+    north = rows.shape[2]
+    south = grid.n_theta // 2
     half = grid.n_phi // 2  # build_grid makes n_phi even
-    if n >= half:
-        folded = np.arange(half + 1, n + 1)
-        spectrum[:, grid.n_phi - folded] += spectrum[:, folded].conj()
-        # irfft reads only the real part of the Nyquist bin, at half weight
-        spectrum[:, half] = 2.0 * spectrum[:, half].real
-    values = np.fft.irfft(spectrum, n=grid.n_phi, axis=1, norm="forward")
-    return FieldSample(spec=spec, grid=grid, values=values)
+    size = max(1, min(north, _BLOCK_BYTES // (16 * (half + 1))))
+    spectrum = np.zeros((size, half + 1), dtype=complex)
+    bins = spectrum.view(float).reshape(size, half + 1, 2)
+    pair = np.empty((n + 1, 2, size))
+    kept = min(n, half) + 1
+    folded = np.arange(half + 1, n + 1)
+    buffer = np.empty((size, grid.n_phi)) if out is None else None
+    last = grid.n_theta - 1
+    for t0 in range(0, north, size):
+        t1 = min(t0 + size, north)
+        s1 = min(t1, south)  # the equator row, when n_theta is odd, has no mirror
+        for combine, count, target in ((np.add, t1 - t0, slice(t0, t1)),
+                                       (np.subtract, s1 - t0, slice(last - t0, last - s1, -1))):
+            if count <= 0:
+                continue
+            block = pair[:, :, :count]
+            combine(rows[:, :2, t0:t0 + count], rows[:, 2:, t0:t0 + count], out=block)
+            bins[:count, :kept] = block[:kept].transpose(2, 0, 1)
+            if n >= half:  # add the conjugates of the orders above n_phi / 2
+                bins[:count, grid.n_phi - folded, 0] += block[folded, 0].T
+                bins[:count, grid.n_phi - folded, 1] -= block[folded, 1].T
+                # irfft reads only the real part of the Nyquist bin, at half weight
+                spectrum[:count, half] = 2.0 * spectrum[:count, half].real
+            values = buffer[:count] if out is None else out[target]
+            np.fft.irfft(spectrum[:count], n=grid.n_phi, axis=1, norm="forward", out=values)
+            yield target, values
+
+
+def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> FieldSample:
+    """Evaluate the realization on all grid nodes (see field_blocks)."""
+    values = np.empty((grid.n_theta, grid.n_phi))
+    for _ in field_blocks(coeffs, grid, out=values):
+        pass
+    return FieldSample(spec=coeffs.spec, grid=grid, values=values)
 
 
 def write_csv(out, header_lines, columns, chunks) -> None:

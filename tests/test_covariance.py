@@ -18,6 +18,17 @@ def test_gamma_exact_unit_at_zero():
     assert cv.gamma_cd(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gamma_is_exactly_one_at_zero_angle():
+    # both forms divide by the integer D: scaling by c_norm / (4 pi) rounded
+    # Gamma(0) to 0.99999999999999989 at n = 200 and at 499 of n = 2..2000
+    spec = fm.make_spec(200, 0.5)
+    assert cv.gamma_exact(spec, 0.0) == cv.gamma_cd(spec, 0.0) == 1.0
+    for n in [*range(2, 401), *range(401, 2001, 199)]:
+        spec = fm.make_spec(n, 0.5)
+        assert cv.gamma_exact(spec, 0.0) == cv.gamma_cd(spec, 0.0) == 1.0, n
+    assert cv.gamma_at_cos(fm.full_band_spec(50), np.ones(3)).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_gamma_exact_unit_at_zero_and_equal_to_cd_at_large_n():
     # n = 6400 is the largest n the covariance benchmark runs; a recurrence
     # that rounds P_l(1) away from 1 moves Gamma(0) by ~1e-11 here

@@ -11,8 +11,11 @@ import pytest
 
 import bandsphere
 from bandsphere import experiments as ex
-from bandsphere.chaos import chaos_integrals, chaos_variance, h2_sample_direct, h2_variance_formula
-from bandsphere.field import make_spec, replicate_rng, sample_coefficients, synthesize
+from bandsphere import field
+from bandsphere.chaos import (
+    chaos_integrals, chaos_variance, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula,
+)
+from bandsphere.field import band_table, make_spec, replicate_rng, sample_coefficients, synthesize
 from bandsphere.grid import build_grid
 
 
@@ -355,3 +358,47 @@ def test_chaos_variance_prediction_rows_are_exact():
         assert row.weight == ex.chaos_weight(row.q, 1.0)
         assert row.contribution == row.weight * row.var_hq
     assert pred.leading_term == pytest.approx(pred.rows[0].contribution, rel=1e-12)
+
+
+def _row_bits(row):
+    seed, area, h, h2x = row
+    return int(seed), np.float64(area).tobytes(), np.asarray(h).tobytes(), np.float64(h2x).tobytes()
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None], ids=["1-row", "3-rows", "default"])
+def test_replicate_row_is_bitwise_the_whole_field_reduction(monkeypatch, rows_per_block):
+    # the block kernel reduces each block of rows as it is synthesized; every
+    # output bit must equal synthesize + chaos_integrals + excursion_area on
+    # the whole field, whatever the block size
+    for beta in (0.5, 0.8):
+        spec = make_spec(24, beta)
+        for q_max in range(2, 7):
+            for degree in (q_max * spec.n, q_max * spec.n + 2):  # both parities of n_theta
+                grid = build_grid(degree)
+                if rows_per_block is not None:
+                    monkeypatch.setattr(field, "_BLOCK_BYTES", rows_per_block * 16 * (grid.n_phi // 2 + 1))
+                got = ex._replicate_row(spec, grid, 0.7, q_max, 11, q_max)
+                rng = replicate_rng(11, spec.n, q_max)
+                seed = rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]
+                coeffs = sample_coefficients(spec, rng)
+                sample = synthesize(coeffs, grid)
+                want = (seed, excursion_area(sample, 0.7).area, chaos_integrals(sample, q_max),
+                        h2_exact_from_coeffs(coeffs))
+                assert _row_bits(got) == _row_bits(want), (beta, q_max, degree)
+
+
+def test_replicate_row_peaks_below_one_field():
+    # the field is reduced in blocks of rows: no replicate holds a whole
+    # (n_theta, n_phi) field, let alone a copy of it
+    import tracemalloc
+
+    spec = make_spec(256, 0.5)
+    grid = build_grid(ex.grid_degree(256, 4.0, 4))
+    band_table(spec, grid)
+    tracemalloc.start()
+    try:
+        ex._replicate_row(spec, grid, 1.0, 4, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.n_theta * grid.n_phi * 8

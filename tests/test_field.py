@@ -210,7 +210,7 @@ def full_node_sum(coeffs, grid):
 ], ids=["make_spec", "make_spec_floor", "full_band", "single_ell"])
 @pytest.mark.parametrize("times, extra", [(2, 0), (2, 1), (2, 2), (2, 3), (1, 0), (1, 1)],
                          ids=["0", "1", "2", "3", "n", "n+1"])
-def test_synthesize_matches_full_node_sum(make, times, extra):
+def test_synthesize_matches_full_node_sum(monkeypatch, make, times, extra):
     # grid degrees 2n..2n+3 give both parities of n_theta; on degrees n and
     # n + 1, n_phi <= 2n, so orders above n_phi / 2 fold onto lower bins and
     # the Nyquist bin carries a mode
@@ -220,6 +220,22 @@ def test_synthesize_matches_full_node_sum(make, times, extra):
     coeffs = fm.sample_coefficients(spec, fm.replicate_rng(31, spec.n, extra))
     values = fm.synthesize(coeffs, grid).values
     assert np.abs(values - full_node_sum(coeffs, grid)).max() <= 1e-12
+    if times == 1:  # the fold runs on every block: one row each gives the same bits
+        monkeypatch.setattr(fm, "_BLOCK_BYTES", 1)
+        assert np.array_equal(fm.synthesize(coeffs, grid).values, values)
+
+
+def test_field_blocks_cover_every_row_once():
+    spec = fm.make_spec(20, 0.5)
+    coeffs = fm.sample_coefficients(spec, fm.replicate_rng(5, spec.n))
+    for grid in (build_grid(80), build_grid(81)):  # both parities of n_theta
+        whole = fm.synthesize(coeffs, grid).values
+        seen = np.zeros(grid.n_theta, dtype=int)
+        for rows, values in fm.field_blocks(coeffs, grid):
+            seen[rows] += 1
+            assert values.shape == (len(range(grid.n_theta)[rows]), grid.n_phi)
+            assert np.array_equal(values, whole[rows])
+        assert (seen == 1).all()
 
 
 def test_band_table_is_northern_half():
