@@ -6,9 +6,7 @@ experiments for the high-frequency variance scaling and CLT.
 """
 
 from .chaos import (
-    ChaosProjection,
     ExcursionResult,
-    chaos_projection,
     chaos_variance,
     excursion_area,
     h2_exact_from_coeffs,
@@ -48,16 +46,14 @@ from .field import (
     single_ell_spec,
     synthesize,
 )
-from .grid import SphereGrid, build_grid, integrate
+from .grid import SphereGrid, build_grid
 from .specfun import (
-    assoc_legendre_normalized,
     bessel_j1,
     gaussian_cdf,
     gaussian_pdf,
     hermite_all,
     jacobi_p10,
     jq_coefficient,
-    legendre_all,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ indistinguishable in law.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,6 @@ class ExcursionResult:
     u: float
     area: float
     spec: FieldSpec
-
-
-@dataclass(frozen=True)
-class ChaosProjection:
-    q: int
-    value: float
 
 
 def excursion_area(sample: FieldSample, u: float) -> ExcursionResult:
@@ -87,24 +80,6 @@ def chaos_integrals(sample: FieldSample, q_max: int) -> np.ndarray:
     """Sphere integrals of H_q(field) for q = 0..q_max: the moments of the
     field combined with the Hermite coefficients once."""
     return hermite_integrals(sample.grid, power_row_sums(sample.values, q_max))
-
-
-def chaos_projection(sample: FieldSample, q: int) -> ChaosProjection:
-    """Quadrature of H_q(field) over the sphere.
-
-    Exact (up to roundoff) when the grid resolves degree q * n; warns when it
-    does not.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if sample.grid.exact_degree < q * sample.spec.n:
-        warnings.warn(
-            f"grid degree {sample.grid.exact_degree} < {q} * n = {q * sample.spec.n}; "
-            "chaos projection quadrature is not exact",
-            stacklevel=2,
-        )
-    value = chaos_integrals(sample, q)[q]
-    return ChaosProjection(q=q, value=value)
 
 
 def h2_exact_from_coeffs(coeffs: HarmonicCoefficients) -> float:

@@ -23,8 +23,10 @@ import numpy as np
 
 from . import covariance as cov
 from . import experiments as ex
-from .field import band_table_bytes, make_spec, replicate_rng, sample_coefficients, synthesize, write_field_csv
-from .grid import build_grid, theta_count
+from .field import (
+    band_table_bytes, make_spec, parity_rows_bytes, replicate_rng, sample_coefficients, synthesize, write_field_csv,
+)
+from .grid import build_grid, fft_length, theta_count
 from .specfun import FOUR_PI, gaussian_cdf
 
 SEED_ENV_VAR = "BANDSPHERE_SEED"
@@ -197,25 +199,31 @@ def _physical_memory_bytes() -> float:
         return math.inf
 
 
-def _check_table_fits(spec, degree: int) -> None:
+def _check_fits(spec, degree: int, workers: int = 1, whole_field: bool = False) -> None:
     """Usage error, before anything is allocated, when the band table of the
-    field grid would not fit in physical memory."""
-    need = band_table_bytes(spec, theta_count(degree))
+    field grid, one half-spectra array per synthesizing process and, with
+    ``whole_field``, the field itself would not fit in physical memory."""
+    n_theta = theta_count(degree)
+    need = band_table_bytes(spec, n_theta) + workers * parity_rows_bytes(spec, n_theta)
+    if whole_field:
+        need += 8 * n_theta * fft_length(degree + 1)
     limit = _physical_memory_bytes()
     if need > limit:
         raise UsageError(
-            f"n = {spec.n}: the band table needs {need / 1e9:.2f} GB, more than "
-            f"the {limit / 1e9:.2f} GB of physical memory"
+            f"n = {spec.n}: the band table and field buffers need {need / 1e9:.2f} GB, "
+            f"more than the {limit / 1e9:.2f} GB of physical memory"
         )
 
 
 def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
-    """_check_table_fits for the largest n of a field-mode sweep."""
+    """_check_fits for the largest n of a field-mode sweep, on as many
+    processes as _run_replicates starts."""
     if config.mode != "field_full":
         return
     n = config.n_list[-1]
     spec = make_spec(n, config.beta, config.band_rounding)  # checked by the config
-    _check_table_fits(spec, ex.grid_degree(n, config.oversample, config.q_max))
+    workers = min(config.workers, os.cpu_count() or 1)
+    _check_fits(spec, ex.grid_degree(n, config.oversample, config.q_max), workers)
 
 
 # --- subcommands: each takes the resolved settings ----------------------------
@@ -240,7 +248,7 @@ def cmd_simulate(r: dict) -> int:
         raise UsageError("oversample must be >= 1")
     spec = _make_spec(r)
     degree = ex.grid_degree(spec.n, r["oversample"])
-    _check_table_fits(spec, degree)
+    _check_fits(spec, degree, whole_field=True)
     sample = synthesize(sample_coefficients(spec, replicate_rng(r["seed"], spec.n, 0)), build_grid(degree))
     write_field_csv(sample, r["out"] or sys.stdout, header_lines=_header_lines(r))
     return 0

@@ -104,13 +104,9 @@ class ExperimentResult:
 
 # --- statistics helpers ------------------------------------------------------
 
-def ks_statistic(sample: np.ndarray) -> float:
-    """One-sample Kolmogorov-Smirnov distance to the standard normal CDF."""
-    return _ks_sorted(np.sort(np.asarray(sample, dtype=float)))
-
-
 def _ks_sorted(z: np.ndarray) -> float:
-    """ks_statistic of an ascending sample; overwrites z."""
+    """One-sample Kolmogorov-Smirnov distance of an ascending sample to the
+    standard normal CDF; overwrites z."""
     r = z.size
     cdf = gaussian_cdf(z)
     steps = np.arange(r + 1, dtype=float)
@@ -186,10 +182,14 @@ def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int
     seed_id = rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]
     coeffs = sample_coefficients(spec, rng)
     sums = np.empty((q_max + 1, grid.n_theta))
-    counts = np.empty(grid.n_theta, dtype=np.intp)
+    counts = np.empty(grid.n_theta, dtype=np.min_scalar_type(grid.n_phi))  # exact up to n_phi
+    mask = None
     for rows, values in field_blocks(coeffs, grid):
         power_row_sums(values, q_max, out=sums[:, rows])
-        counts[rows] = np.count_nonzero(values > u, axis=1)
+        if mask is None:  # the first block is the largest
+            mask = np.empty(values.shape, dtype=bool)
+        above = np.greater(values, u, out=mask[: len(values)])
+        np.add.reduce(above.view(np.uint8), axis=1, dtype=counts.dtype, out=counts[rows])
     area = float(integrate_rows(grid, counts))
     return seed_id, area, hermite_integrals(grid, sums), h2_exact_from_coeffs(coeffs)
 

@@ -147,9 +147,9 @@ def sample_coefficients(spec: FieldSpec, rng: np.random.Generator) -> HarmonicCo
 # ceil(n_theta/2), the equator included when n_theta is odd), stored as a
 # contiguous (m, l, t) array so that each m is one (band_width, n_half) matrix.
 # The southern rows follow from the parity N_l^m(-x) = (-1)^(l+m) N_l^m(x) on
-# the mirror-symmetric nodes of build_grid: split every coefficient column by
-# the parity of l + m, contract both halves against the northern table in one
-# batched matmul, and read the north as even + odd, the south as even - odd.
+# the mirror-symmetric nodes of build_grid: the sign goes on the coefficients,
+# and one batched matmul contracts the coefficients and their signed copy
+# against the northern table, giving each northern row and its southern mirror.
 
 _TABLE_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -157,6 +157,11 @@ _TABLE_CACHE: dict[tuple, np.ndarray] = {}
 def band_table_bytes(spec: FieldSpec, n_theta: int) -> int:
     """Bytes of ``band_table(spec, grid)`` on a grid with n_theta colatitudes."""
     return 8 * (spec.n + 1) * spec.band_width * ((n_theta + 1) // 2)
+
+
+def parity_rows_bytes(spec: FieldSpec, n_theta: int) -> int:
+    """Bytes of the half-spectra that field_blocks holds while it runs."""
+    return 32 * (spec.n + 1) * ((n_theta + 1) // 2)
 
 
 def band_table(spec: FieldSpec, grid: SphereGrid) -> np.ndarray:
@@ -183,27 +188,23 @@ _BLOCK_BYTES = 1 << 19
 
 
 def _parity_rows(coeffs: HarmonicCoefficients, table: np.ndarray) -> np.ndarray:
-    """Even and odd parts of the longitude half-spectrum on the northern rows,
-    as an (n + 1, 4, ceil(n_theta / 2)) array [m, (re, im) x (even, odd), t].
-    The field's Fourier amplitudes X_m(theta_t),
-
-        T(theta_t, phi) = Re sum_m w_m X_m(theta_t) exp(i m phi),
-        w_0 = 1, w_m = 2 (m > 0),
-
-    are even + odd on the northern row t and even - odd on its southern
-    mirror.  X_0 = A_0 and X_m = (A_m - i B_m) / 2 for the cos/sin
-    amplitudes of the real harmonics; sqrt(2), 1/2 and sqrt(c_norm) are
-    folded into the coefficients before the contraction."""
+    """Longitude half-spectra X_m of every northern row t and of its southern
+    mirror, a complex (n + 1, ceil(n_theta / 2), 2) array [m, t, (north, south)]
+    with T(theta, phi) = Re sum_m w_m X_m(theta) exp(i m phi), w_0 = 1,
+    w_m = 2 (m > 0).  The mirror takes (-1)^(l+m) c_l for the coefficient c_l.
+    X_0 = A_0 and X_m = (A_m - i B_m) / 2 for the cos/sin amplitudes of the
+    real harmonics; sqrt(2), 1/2 and sqrt(c_norm) go into the coefficients."""
     spec = coeffs.spec
     n = spec.n
     scale = np.full(n + 1, math.sqrt(0.5 * spec.c_norm))
     scale[0] = math.sqrt(spec.c_norm)
-    parts = np.stack((coeffs.matrix[:, n:] * scale, coeffs.matrix[:, n::-1] * -scale))  # [re/im, l, m]
-    parts[1, :, 0] = 0.0  # no sin term at m = 0
-    ell = np.arange(spec.ell_min, n + 1)
-    odd = parts * ((ell[:, None] + np.arange(n + 1)) % 2)
-    split = np.concatenate((parts - odd, odd)).transpose(2, 0, 1)  # [m, (re, im) x (even, odd), l]
-    return np.matmul(np.ascontiguousarray(split), table)
+    signed = np.empty((n + 1, spec.band_width, 4))  # [m, l, (re, im) x (north, south)]
+    signed[:, :, 0] = (coeffs.matrix[:, n:] * scale).T
+    signed[:, :, 1] = (coeffs.matrix[:, n::-1] * -scale).T
+    signed[0, :, 1] = 0.0  # no sin term at m = 0
+    sign = 1.0 - 2.0 * ((np.arange(n + 1)[:, None] + np.arange(spec.ell_min, n + 1)) % 2)  # (-1)^(l+m)
+    np.multiply(signed[:, :, :2], sign[:, :, None], out=signed[:, :, 2:])
+    return np.matmul(table.transpose(0, 2, 1), signed).view(complex)
 
 
 def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray | None = None):
@@ -215,13 +216,13 @@ def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray
     written into ``out[rows]``; without it every block reuses one buffer,
     which the next block overwrites.
 
-    One batched matmul contracts the coefficients against the northern band
-    table (_parity_rows).  Then each block of northern rows, and its southern
-    mirror, is copied into a reused zero-padded half-spectrum of
-    n_phi / 2 + 1 bins, about _BLOCK_BYTES of it, and evaluated by one real
-    FFT per row.  On a ring with n_phi <= 2n longitudes the orders
-    m > n_phi / 2 alias onto n_phi - m and are folded there, conjugated, so
-    every grid that resolves degree n takes this path.
+    One batched matmul gives the half-spectra of every northern row and its
+    southern mirror (_parity_rows).  Each block of northern rows, and its
+    southern mirror, is copied transposed into a reused zero-padded
+    half-spectrum of n_phi / 2 + 1 bins, about _BLOCK_BYTES of it, and
+    evaluated by one real FFT per row.  On a ring with n_phi <= 2n
+    longitudes the orders m > n_phi / 2 alias onto n_phi - m and are folded
+    there, conjugated, so every grid that resolves degree n takes this path.
     """
     spec = coeffs.spec
     if grid.exact_degree < spec.n:
@@ -230,13 +231,11 @@ def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray
         )
     n = spec.n
     rows = _parity_rows(coeffs, band_table(spec, grid))
-    north = rows.shape[2]
+    north = rows.shape[1]
     south = grid.n_theta // 2
     half = grid.n_phi // 2  # build_grid makes n_phi even
     size = max(1, min(north, _BLOCK_BYTES // (16 * (half + 1))))
     spectrum = np.zeros((size, half + 1), dtype=complex)
-    bins = spectrum.view(float).reshape(size, half + 1, 2)
-    pair = np.empty((n + 1, 2, size))
     kept = min(n, half) + 1
     folded = np.arange(half + 1, n + 1)
     buffer = np.empty((size, grid.n_phi)) if out is None else None
@@ -244,16 +243,12 @@ def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray
     for t0 in range(0, north, size):
         t1 = min(t0 + size, north)
         s1 = min(t1, south)  # the equator row, when n_theta is odd, has no mirror
-        for combine, count, target in ((np.add, t1 - t0, slice(t0, t1)),
-                                       (np.subtract, s1 - t0, slice(last - t0, last - s1, -1))):
+        for k, count, target in ((0, t1 - t0, slice(t0, t1)), (1, s1 - t0, slice(last - t0, last - s1, -1))):
             if count <= 0:
                 continue
-            block = pair[:, :, :count]
-            combine(rows[:, :2, t0:t0 + count], rows[:, 2:, t0:t0 + count], out=block)
-            bins[:count, :kept] = block[:kept].transpose(2, 0, 1)
+            spectrum[:count, :kept] = rows[:kept, t0:t0 + count, k].T
             if n >= half:  # add the conjugates of the orders above n_phi / 2
-                bins[:count, grid.n_phi - folded, 0] += block[folded, 0].T
-                bins[:count, grid.n_phi - folded, 1] -= block[folded, 1].T
+                spectrum[:count, grid.n_phi - folded] += rows[folded, t0:t0 + count, k].T.conj()
                 # irfft reads only the real part of the Nyquist bin, at half weight
                 spectrum[:count, half] = 2.0 * spectrum[:count, half].real
             values = buffer[:count] if out is None else out[target]

@@ -64,12 +64,6 @@ class SphereGrid:
     def phi_nodes(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
 
-    @property
-    def quad_weights(self) -> np.ndarray:
-        """Combined per-cell weights (steradians), row-major theta x phi."""
-        w = np.repeat(self.theta_weights * (2.0 * math.pi / self.n_phi), self.n_phi)
-        return w
-
 
 def theta_count(target_degree: int) -> int:
     """Gauss-Legendre colatitude count of ``build_grid(target_degree)``."""
@@ -116,24 +110,6 @@ def build_grid(target_degree: int) -> SphereGrid:
         theta_weights=w,
         exact_degree=min(2 * n_theta - 1, n_phi - 1),
     )
-
-
-def integrate(grid: SphereGrid, values: np.ndarray) -> float:
-    """Quadrature sum over the sphere of point values on the grid.
-
-    Accepts a (n_theta, n_phi) array or its flattened row-major form.
-    """
-    values = np.asarray(values)
-    if values.shape == (grid.n_theta, grid.n_phi):
-        rows = values.sum(axis=1)
-    elif values.shape == (grid.n_theta * grid.n_phi,):
-        rows = values.reshape(grid.n_theta, grid.n_phi).sum(axis=1)
-    else:
-        raise ValueError(
-            f"values shape {values.shape} does not match grid "
-            f"({grid.n_theta}, {grid.n_phi})"
-        )
-    return float(integrate_rows(grid, rows))
 
 
 def integrate_rows(grid: SphereGrid, rows: np.ndarray):

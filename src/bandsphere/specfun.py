@@ -2,15 +2,14 @@
 Jacobi P_n^(1,0), Bessel J1, probabilists' Hermite, Gaussian pdf/cdf and the
 Hermite-expansion coefficients of a Gaussian level indicator.
 
-Everything here is a pure function of its inputs; the tables are frozen
-dataclasses and safe to share across threads/processes.
+Everything here is a pure function of its inputs, safe to share across
+threads and processes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,61 +23,6 @@ _BAND_BLOCK = 128
 # expansion.  Both branches bottom out near 1.5e-12 absolute around x ~ 12;
 # see tests for the measured error envelope.
 _J1_CROSSOVER = 12.0
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    """Values of P_0..P_max_degree at a single argument x in [-1, 1]."""
-
-    max_degree: int
-    argument: float
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class AssocLegendreTable:
-    """Fully normalized associated Legendre values N_l^m(cos_theta).
-
-    Normalization is the spherical-harmonic one (Condon-Shortley phase
-    included): the real harmonics
-
-        Y_{l,0}  = N_l^0,
-        Y_{l,m}  = sqrt(2) * N_l^m * cos(m*phi)   (m > 0),
-        Y_{l,-m} = sqrt(2) * N_l^m * sin(m*phi)   (m > 0),
-
-    are orthonormal on the sphere and satisfy
-    sum_m Y_{l,m}(x)^2 = (2l+1)/(4*pi) at every point.
-
-    ``values[l, m]`` holds N_l^m for 0 <= m <= l; slots with m > l are zero.
-    """
-
-    max_degree: int
-    argument: float
-    values: np.ndarray
-
-    def addition_sum(self, ell: int) -> float:
-        """sum_{m=-ell}^{ell} Y_{ell,m}^2, which must equal (2*ell+1)/(4*pi)."""
-        row = self.values[ell]
-        return float(row[0] ** 2 + 2.0 * np.sum(row[1 : ell + 1] ** 2))
-
-
-def legendre_all(ell_max: int, x: float) -> LegendreTable:
-    """Table of Legendre polynomials P_0(x)..P_ell_max(x).
-
-    Uses the stable upward recurrence
-    (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}.
-    """
-    if ell_max < 0:
-        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"Legendre argument must lie in [-1, 1], got {x}")
-    values = np.empty(ell_max + 1)
-    values[0] = 1.0
-    if ell_max >= 1:
-        values[1] = x
-    for ell in range(1, ell_max):
-        values[ell + 1] = ((2 * ell + 1) * x * values[ell] - ell * values[ell - 1]) / (ell + 1)
-    return LegendreTable(max_degree=ell_max, argument=x, values=values)
 
 
 def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.ndarray | float:
@@ -115,46 +59,19 @@ def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.n
     return float(acc[0]) if scalar else acc
 
 
-def assoc_legendre_normalized(ell_max: int, cos_theta: float) -> AssocLegendreTable:
-    """Fully normalized associated Legendre table at a single colatitude.
-
-    The normalization is applied inside the recurrence, so the values stay
-    O(sqrt(l)) up to ell_max ~ a few thousand (the unnormalized P_l^m would
-    overflow near l ~ 150).
-    """
-    if not -1.0 <= cos_theta <= 1.0:
-        raise ValueError(f"cos_theta must lie in [-1, 1], got {cos_theta}")
-    if ell_max < 0:
-        raise ValueError(f"ell_max must be >= 0, got {ell_max}")
-    x = float(cos_theta)
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    vals = np.zeros((ell_max + 1, ell_max + 1))
-    vals[0, 0] = 1.0 / math.sqrt(FOUR_PI)
-    for ell in range(1, ell_max + 1):
-        m = np.arange(0, ell - 1)
-        if m.size:
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = -np.sqrt(
-                (2.0 * ell + 1.0)
-                * ((ell - 1.0) ** 2 - m * m)
-                / ((2.0 * ell - 3.0) * (ell * ell - m * m))
-            )
-            vals[ell, : ell - 1] = a * x * vals[ell - 1, : ell - 1] + b * vals[ell - 2, : ell - 1]
-        vals[ell, ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * vals[ell - 1, ell - 1]
-        vals[ell, ell] = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s * vals[ell - 1, ell - 1]
-    return AssocLegendreTable(max_degree=ell_max, argument=x, values=vals)
-
-
 def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np.ndarray:
     """Band-limited normalized associated Legendre table over many colatitudes.
 
     Returns a C-contiguous array of shape
     (ell_max + 1, ell_max - ell_min + 1, len(cos_theta)) with entry
     [m, l - ell_min, j] = N_l^m(cos_theta[j]); slots with m > l are zero.  The
-    recurrence climbs in l over one block of colatitudes at a time, in place on
-    three preallocated (m, t) buffers of the block's width, and copies each
-    degree straight into its slice of the table, so building the table takes
-    little more memory than the table itself.
+    normalization is the spherical-harmonic one, Condon-Shortley phase
+    included: N_l^0 and sqrt(2) N_l^m cos(m phi), sqrt(2) N_l^m sin(m phi)
+    (m > 0) are the orthonormal real harmonics.  The recurrence climbs in l
+    over one block of colatitudes at a time, in place on three preallocated
+    (m, t) buffers of the block's width, and copies each degree straight into
+    its slice of the table, so building the table takes little more memory
+    than the table itself.
     """
     x = np.asarray(cos_theta, dtype=float)
     if x.ndim != 1:
@@ -185,8 +102,8 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
         if ell_min == 0:
             out[:1, 0, start:stop] = prev[:1]
         for ell in range(1, ell_max + 1):
-            # the operations of assoc_legendre_normalized in their order, so
-            # both give the same bits; prev2 is free once read
+            # the operations of the scalar one-colatitude recurrence in its
+            # order, so both give the same bits; prev2 is free once read
             k = ell - 1
             if k:
                 mk = m[:k]
@@ -267,30 +184,40 @@ def _j1_series(x: np.ndarray) -> np.ndarray:
 def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
     # Hankel expansion: J1 = sqrt(2/(pi x)) [cos(chi) P(x) - sin(chi) Q(x)],
     # chi = x - 3 pi/4, with a_k = prod_{i<=k} (4 - (2i-1)^2) / (k! 8^k).
-    # Terms are added while they keep decreasing (optimal truncation).
+    # Terms are added while they keep decreasing (optimal truncation).  The
+    # sums run in place on reused buffers, each step the operation of the
+    # plain formula, so the values are those of evaluating it as written.
     p_sum = np.ones_like(x)
     q_sum = np.zeros_like(x)
     a = 1.0
     xk = np.ones_like(x)
     last = np.full_like(x, np.inf)
     active = np.ones_like(x, dtype=bool)
+    shrinking = np.empty_like(active)
+    term = np.empty_like(x)
+    mag = np.empty_like(x)
     for k in range(1, 40):
         a *= (4.0 - (2 * k - 1) ** 2) / (k * 8.0)
-        xk = xk / x
-        term = a * xk
-        mag = np.abs(term)
-        active &= mag < last
+        np.divide(xk, x, out=xk)
+        np.multiply(xk, a, out=term)
+        np.abs(term, out=mag)
+        active &= np.less(mag, last, out=shrinking)
         if not np.any(active):
             break
-        last = np.where(active, mag, last)
-        if k % 2 == 1:
-            sign = -1.0 if (k // 2) % 2 else 1.0
-            q_sum = np.where(active, q_sum + sign * term, q_sum)
-        else:
-            sign = -1.0 if (k // 2) % 2 else 1.0
-            p_sum = np.where(active, p_sum + sign * term, p_sum)
-    chi = x - 0.75 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) * p_sum - np.sin(chi) * q_sum)
+        np.copyto(last, mag, where=active)
+        if (k // 2) % 2:
+            np.negative(term, out=term)
+        total = q_sum if k % 2 == 1 else p_sum
+        np.add(total, term, out=total, where=active)
+    chi = np.subtract(x, 0.75 * math.pi, out=xk)
+    np.multiply(np.cos(chi, out=term), p_sum, out=p_sum)
+    np.multiply(np.sin(chi, out=term), q_sum, out=q_sum)
+    p_sum -= q_sum
+    np.multiply(x, math.pi, out=chi)
+    np.divide(2.0, chi, out=chi)
+    np.sqrt(chi, out=chi)
+    chi *= p_sum
+    return chi
 
 
 def bessel_j1(x: np.ndarray | float) -> np.ndarray | float:

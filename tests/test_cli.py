@@ -7,6 +7,7 @@ import pytest
 
 from bandsphere.cli import main
 from bandsphere.experiments import dof_scaling_exponent
+from bandsphere.grid import build_grid
 
 
 def run_cli(argv):
@@ -285,10 +286,33 @@ def test_memory_preflight_refuses_table_larger_than_memory(tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (["simulate", "--n", "64", "--beta", "0.5"], "field"),
+    (["scaling", "--n", "16,32,64", "--beta", "0.5", "--replicates", "100", "--workers", "1"], "rows"),
+], ids=["simulate", "scaling"])
+def test_memory_preflight_counts_the_field_buffers(tmp_path, monkeypatch, capsys, argv, extra):
+    # memory for the band table alone is not enough: the half-spectra of
+    # field_blocks, and for simulate the whole field, are counted too
+    from bandsphere import cli, field
+
+    spec, grid = field.make_spec(64, 0.5), build_grid(256)  # oversample 4
+    table = field.band_table_bytes(spec, grid.n_theta)
+    rows = field.parity_rows_bytes(spec, grid.n_theta)
+    assert rows == 32 * 65 * 65
+    need = table + rows + (8 * grid.n_theta * grid.n_phi if extra == "field" else 0)
+    out = tmp_path / "out"
+    for limit in (table, need - 1):  # enough by the old count, short by the new
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: limit)
+        assert run_cli(argv + ["--out", str(out)]) == 2, limit
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_memory_preflight_passes_fitting_and_direct_runs(tmp_path, monkeypatch):
     from bandsphere import cli, field
 
-    need = field.band_table_bytes(field.make_spec(12, 0.5), 25)
+    spec = field.make_spec(12, 0.5)  # oversample 4: 25 x 50 grid
+    need = field.band_table_bytes(spec, 25) + field.parity_rows_bytes(spec, 25) + 8 * 25 * 50
     monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need)
     assert run_cli(["simulate", "--n", "12", "--beta", "0.5", "--out", str(tmp_path / "f.csv")]) == 0
     # h2-direct synthesizes no field, so no table limits it

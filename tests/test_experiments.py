@@ -17,6 +17,7 @@ from bandsphere.chaos import (
 )
 from bandsphere.field import band_table, make_spec, replicate_rng, sample_coefficients, synthesize
 from bandsphere.grid import build_grid
+from references import ks_statistic
 
 
 def test_config_validation():
@@ -253,7 +254,7 @@ def test_clt_ks_statistic_matches_scipy(n):
     reference = stats.kstest(z, "norm").statistic
     inputs = draws.copy(), z.copy()
     assert ex.clt_test(draws)[0] == pytest.approx(reference, abs=1e-12)
-    assert ex.ks_statistic(z) == pytest.approx(reference, abs=1e-12)
+    assert ks_statistic(z) == pytest.approx(reference, abs=1e-12)
     # both sort their own copy in place, never the caller's array
     assert np.array_equal(draws, inputs[0]) and np.array_equal(z, inputs[1])
 
@@ -385,6 +386,15 @@ def test_replicate_row_is_bitwise_the_whole_field_reduction(monkeypatch, rows_pe
                 want = (seed, excursion_area(sample, 0.7).area, chaos_integrals(sample, q_max),
                         h2_exact_from_coeffs(coeffs))
                 assert _row_bits(got) == _row_bits(want), (beta, q_max, degree)
+
+
+def test_replicate_row_counts_every_longitude_of_a_wide_ring():
+    # n_phi > 255: the per-row exceedance counts need more than eight bits
+    spec = make_spec(64, 0.5)
+    grid = build_grid(4 * spec.n)
+    assert grid.n_phi > 255
+    area = ex._replicate_row(spec, grid, -1e300, 2, 1, 0)[1]
+    assert abs(area - 4 * math.pi) <= 1e-12
 
 
 def test_replicate_row_peaks_below_one_field():

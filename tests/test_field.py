@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bandsphere import field as fm
 from bandsphere import specfun as sf
-from bandsphere.grid import build_grid, integrate
+from bandsphere.grid import build_grid
+from references import integrate
 
 FOUR_PI = 4 * math.pi
 
@@ -236,6 +237,47 @@ def test_field_blocks_cover_every_row_once():
             assert values.shape == (len(range(grid.n_theta)[rows]), grid.n_phi)
             assert np.array_equal(values, whole[rows])
         assert (seen == 1).all()
+
+
+def parity_split_reference(coeffs, grid):
+    """The field by the even/odd split: the coefficients of even and of odd
+    l + m contracted separately against the northern table, each northern row
+    read as even + odd and its southern mirror as even - odd, then one
+    whole-grid zero-padded irfft."""
+    spec = coeffs.spec
+    n = spec.n
+    scale = np.full(n + 1, math.sqrt(0.5 * spec.c_norm))
+    scale[0] = math.sqrt(spec.c_norm)
+    parts = np.stack((coeffs.matrix[:, n:] * scale, coeffs.matrix[:, n::-1] * -scale))  # [re/im, l, m]
+    parts[1, :, 0] = 0.0
+    ell = np.arange(spec.ell_min, n + 1)
+    odd = parts * ((ell[:, None] + np.arange(n + 1)) % 2)
+    split = np.concatenate((parts - odd, odd)).transpose(2, 0, 1)  # [m, (re, im) x (even, odd), l]
+    rows = np.matmul(np.ascontiguousarray(split), fm.band_table(spec, grid))
+    even, odd = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]  # [m, t]
+    amp = np.concatenate(((even + odd).T, (even - odd)[:, : grid.n_theta // 2].T[::-1]))  # [theta, m]
+    half = grid.n_phi // 2
+    spectrum = np.zeros((grid.n_theta, half + 1), dtype=complex)
+    spectrum[:, : min(n, half) + 1] = amp[:, : half + 1]
+    folded = np.arange(half + 1, n + 1)
+    spectrum[:, grid.n_phi - folded] += amp[:, folded].conj()
+    if n >= half:
+        spectrum[:, half] = 2.0 * spectrum[:, half].real
+    return np.fft.irfft(spectrum, n=grid.n_phi, axis=1, norm="forward")
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8])
+@pytest.mark.parametrize("times, extra", [(2, 0), (2, 2), (1, 0), (1, 1)], ids=["2n", "2n+2", "n", "n+1"])
+def test_signed_contraction_matches_the_parity_split(beta, times, extra):
+    # the sign (-1)^(l+m) on the coefficients gives the southern rows in the
+    # same matmul; it rounds differently from even - odd, by about an ulp
+    spec = fm.make_spec(64, beta)
+    grid = build_grid(times * spec.n + extra)
+    assert times == 2 or grid.n_phi <= 2 * spec.n
+    coeffs = fm.sample_coefficients(spec, fm.replicate_rng(7, spec.n, extra))
+    values = fm.synthesize(coeffs, grid).values
+    reference = parity_split_reference(coeffs, grid)
+    assert np.abs(values - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
 def test_band_table_is_northern_half():
