@@ -13,6 +13,7 @@ indistinguishable in law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,14 +38,15 @@ def excursion_area(sample: FieldSample, u: float) -> ExcursionResult:
     return ExcursionResult(u=u, area=float(integrate_rows(sample.grid, counts)), spec=sample.spec)
 
 
+@functools.cache  # every replicate's hermite_integrals reads it
 def _hermite_power_coefficients(q_max: int) -> np.ndarray:
-    """c[q, k] with H_q(t) = sum_k c[q, k] t^k (probabilists' Hermite)."""
+    """c[q, k] with H_q(t) = sum_k c[q, k] t^k (probabilists' Hermite), read-only."""
+    from numpy.polynomial.hermite_e import herme2poly  # on first use, as in specfun.hermite_all
+
     c = np.zeros((q_max + 1, q_max + 1))
-    c[0, 0] = 1.0
-    for q in range(1, q_max + 1):
-        c[q, 1:] = c[q - 1, :-1]
-        if q >= 2:
-            c[q] -= (q - 1) * c[q - 2]
+    for q in range(q_max + 1):
+        c[q, : q + 1] = herme2poly(np.eye(q + 1)[q])
+    c.flags.writeable = False
     return c
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from . import covariance as cov
 from . import experiments as ex
 from .field import (
-    band_table_bytes, make_spec, parity_rows_bytes, replicate_rng, sample_coefficients, synthesize, write_field_csv,
+    band_table_bytes, make_spec, parity_rows_bytes, replicate_rng, sample_coefficients, synthesize, text_sink,
+    write_field_csv,
 )
 from .grid import build_grid, fft_length, theta_count
 from .specfun import FOUR_PI, gaussian_cdf
@@ -136,12 +137,8 @@ def _header_lines(resolved: dict) -> tuple[str, ...]:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with text_sink(out or sys.stdout) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _make_spec(r: dict):
@@ -199,31 +196,34 @@ def _physical_memory_bytes() -> float:
         return math.inf
 
 
-def _check_fits(spec, degree: int, workers: int = 1, whole_field: bool = False) -> None:
-    """Usage error, before anything is allocated, when the band table of the
-    field grid, one half-spectra array per synthesizing process and, with
-    ``whole_field``, the field itself would not fit in physical memory."""
+def _check_fits(bands, workers: int = 1, whole_field: bool = False) -> None:
+    """Usage error, before anything is allocated, when the run would not fit
+    in physical memory: the band table of every (spec, grid degree) in
+    ``bands`` (the table cache keeps each until the process exits), one
+    half-spectra array of the last, largest band per synthesizing process
+    and, with ``whole_field``, that band's whole field."""
+    need = sum(band_table_bytes(spec, theta_count(degree)) for spec, degree in bands)
+    spec, degree = bands[-1]
     n_theta = theta_count(degree)
-    need = band_table_bytes(spec, n_theta) + workers * parity_rows_bytes(spec, n_theta)
+    need += workers * parity_rows_bytes(spec, n_theta)
     if whole_field:
         need += 8 * n_theta * fft_length(degree + 1)
     limit = _physical_memory_bytes()
     if need > limit:
         raise UsageError(
-            f"n = {spec.n}: the band table and field buffers need {need / 1e9:.2f} GB, "
-            f"more than the {limit / 1e9:.2f} GB of physical memory"
+            f"n = {','.join(str(s.n) for s, _ in bands)}: the band tables and field buffers need "
+            f"{need / 1e9:.2f} GB, more than the {limit / 1e9:.2f} GB of physical memory"
         )
 
 
 def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
-    """_check_fits for the largest n of a field-mode sweep, on as many
-    processes as _run_replicates starts."""
+    """_check_fits for every n of a field-mode sweep, on as many processes
+    as _run_replicates starts."""
     if config.mode != "field_full":
         return
-    n = config.n_list[-1]
-    spec = make_spec(n, config.beta, config.band_rounding)  # checked by the config
-    workers = min(config.workers, os.cpu_count() or 1)
-    _check_fits(spec, ex.grid_degree(n, config.oversample, config.q_max), workers)
+    bands = [(make_spec(n, config.beta, config.band_rounding), ex.grid_degree(n, config.oversample, config.q_max))
+             for n in config.n_list]  # the config has checked every band
+    _check_fits(bands, min(config.workers, os.cpu_count() or 1))
 
 
 # --- subcommands: each takes the resolved settings ----------------------------
@@ -248,7 +248,7 @@ def cmd_simulate(r: dict) -> int:
         raise UsageError("oversample must be >= 1")
     spec = _make_spec(r)
     degree = ex.grid_degree(spec.n, r["oversample"])
-    _check_fits(spec, degree, whole_field=True)
+    _check_fits([(spec, degree)], whole_field=True)
     sample = synthesize(sample_coefficients(spec, replicate_rng(r["seed"], spec.n, 0)), build_grid(degree))
     write_field_csv(sample, r["out"] or sys.stdout, header_lines=_header_lines(r))
     return 0
@@ -260,11 +260,10 @@ def cmd_excursion(r: dict) -> int:
     if row.error is not None:
         sys.stderr.write(f"excursion failed: {row.error}\n")
         return 1
-    flags = {}
-    flags["var_h2_ok"] = abs(row.var_h2_hat - row.var_h2_exact_formula) <= 3.0 * row.var_h2_se
+    flags = {"var_h2_ok": ex.within_3se(row.var_h2_hat, row.var_h2_exact_formula, row.var_h2_se)}
     if r["mode"] == "field_full":
         target = FOUR_PI * (1.0 - gaussian_cdf(r["u"]))
-        flags["mean_area_ok"] = abs(row.mean_s_hat - target) <= 3.0 * row.mean_s_se
+        flags["mean_area_ok"] = ex.within_3se(row.mean_s_hat, target, row.mean_s_se)
     if r["format"] == "csv":
         header = _header_lines(r) + tuple(f"flag {k} = {v}" for k, v in sorted(flags.items()))
         ex.write_replicate_csv(result, r["n"], r["out"] or sys.stdout, header_lines=header)

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldSpec, write_csv
+from .field import FieldSpec, write_table
 from .specfun import FOUR_PI, bessel_j1, jacobi_p10, legendre_band_sum
-
-# rows per block of the profile CSV: a block's strings stay small
-_CSV_BLOCK = 256
 
 
 def psi_to_theta(spec: FieldSpec, psi):
@@ -84,15 +81,18 @@ def _hilb_values(spec: FieldSpec, theta: np.ndarray) -> np.ndarray:
     return spec.c_norm / FOUR_PI * pref * (upper - lower)
 
 
+def _hilb_window(spec: FieldSpec, theta: np.ndarray, epsilon: float, c: float) -> np.ndarray:
+    """Mask of the theta in gamma_hilb's window [c/(alpha n), pi - epsilon]."""
+    return (theta >= c / (spec.alpha * spec.n)) & (theta <= math.pi - epsilon)
+
+
 def gamma_hilb(spec: FieldSpec, theta, epsilon: float = 0.1, c: float = 1.0) -> np.ndarray | float:
     """Hilb-type Bessel approximation of the covariance, dropping the Jacobi
     remainder terms.  Valid on c/(alpha n) <= theta <= pi - epsilon."""
     scalar = np.isscalar(theta)
     th = _check_theta(theta)
-    lo = c / (spec.alpha * spec.n)
-    hi = math.pi - epsilon
-    if np.any((th < lo) | (th > hi)):
-        raise ValueError(f"gamma_hilb valid only on [{lo:.3g}, {hi:.3g}]")
+    if not np.all(_hilb_window(spec, th, epsilon, c)):
+        raise ValueError(f"gamma_hilb valid only on [{c / (spec.alpha * spec.n):.3g}, {math.pi - epsilon:.3g}]")
     out = _hilb_values(spec, th)
     return float(out[0]) if scalar else out
 
@@ -125,18 +125,10 @@ def _gamma1_values(spec: FieldSpec, psi: np.ndarray) -> np.ndarray:
 def _gamma2_values(spec: FieldSpec, psi: np.ndarray) -> np.ndarray:
     # leading regime-2 form: product of a fast oscillation and a slow beat
     # between the two band-edge frequencies
-    an = spec.alpha * spec.n
-    ratio = (spec.n + 1.0) / an
+    ratio = (spec.n + 1.0) / (spec.alpha * spec.n)
     s_fast = np.sin(psi / 2.0 - 0.75 * math.pi + 0.5 * ratio * psi)
     s_slow = np.sin(0.5 * ratio * psi - psi / 2.0)
-    return (
-        _lemma1_prefactor(spec, psi)
-        * (an / np.sqrt(psi))
-        * math.sqrt(2.0 / math.pi)
-        * (-2.0)
-        * s_fast
-        * s_slow
-    )
+    return -lemma1_regime2_envelope(spec, psi) * s_fast * s_slow
 
 
 def lemma1_regime_boundary(spec: FieldSpec) -> float:
@@ -149,17 +141,26 @@ def lemma1_window(spec: FieldSpec, epsilon: float = 0.1) -> tuple[float, float]:
     return 1.0, spec.alpha * spec.n * (math.pi - epsilon)
 
 
+def _lemma1_regimes(spec: FieldSpec, psi: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the psi in the window (psi_min, psi_max] of lemma1_window
+    below the regime boundary and at or above it."""
+    lo, hi = lemma1_window(spec, epsilon)
+    inside = (psi > lo) & (psi <= hi)
+    first = psi < lemma1_regime_boundary(spec)
+    return inside & first, inside & ~first
+
+
 def gamma_lemma1(spec: FieldSpec, psi, epsilon: float = 0.1) -> np.ndarray | float:
     """Leading rescaled approximant: regime-1 form for psi < n^beta, regime-2
     form for psi >= n^beta, error terms dropped.  No continuity is claimed at
     the regime boundary."""
     scalar = np.isscalar(psi)
     ps = np.atleast_1d(np.asarray(psi, dtype=float))
-    lo, hi = lemma1_window(spec, epsilon)
-    if np.any((ps <= lo) | (ps > hi)):
+    first, second = _lemma1_regimes(spec, ps, epsilon)
+    if not np.all(first | second):
+        lo, hi = lemma1_window(spec, epsilon)
         raise ValueError(f"gamma_lemma1 valid only on ({lo}, {hi:.6g}]")
-    split = lemma1_regime_boundary(spec)
-    out = np.where(ps < split, _gamma1_values(spec, ps), _gamma2_values(spec, ps))
+    out = np.where(first, _gamma1_values(spec, ps), _gamma2_values(spec, ps))
     return float(out[0]) if scalar else out
 
 
@@ -192,67 +193,34 @@ class CovarianceProfile:
     lemma1_r2: np.ndarray
 
 
+def _on_window(values, spec: FieldSpec, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """values(spec, x) where mask holds, NaN elsewhere."""
+    out = np.full_like(x, np.nan)
+    out[mask] = values(spec, x[mask])
+    return out
+
+
 def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1, c: float = 1.0) -> CovarianceProfile:
     psi = np.atleast_1d(np.asarray(psi_grid, dtype=float))
     theta = psi_to_theta(spec, psi)
-    if np.any((theta < 0.0) | (theta > math.pi)):
-        raise ValueError("psi grid maps outside theta in [0, pi]")
-    exact = gamma_exact(spec, theta)
-    cd = gamma_cd(spec, theta)
-
-    hilb = np.full_like(psi, np.nan)
-    lo = c / (spec.alpha * spec.n)
-    sel = (theta >= lo) & (theta <= math.pi - epsilon)
-    if np.any(sel):
-        hilb[sel] = _hilb_values(spec, theta[sel])
-
-    split = lemma1_regime_boundary(spec)
-    w_lo, w_hi = lemma1_window(spec, epsilon)
-    r1 = np.full_like(psi, np.nan)
-    sel1 = (psi > w_lo) & (psi < split)
-    if np.any(sel1):
-        r1[sel1] = _gamma1_values(spec, psi[sel1])
-    r2 = np.full_like(psi, np.nan)
-    sel2 = (psi >= split) & (psi <= w_hi)
-    if np.any(sel2):
-        r2[sel2] = _gamma2_values(spec, psi[sel2])
-
+    exact = gamma_exact(spec, theta)  # raises for theta outside [0, pi]
+    first, second = _lemma1_regimes(spec, psi, epsilon)
     return CovarianceProfile(
         spec=spec,
         epsilon=epsilon,
         psi=psi,
         theta=theta,
-        exact=np.atleast_1d(exact),
-        cd=np.atleast_1d(cd),
-        hilb=hilb,
-        lemma1_r1=r1,
-        lemma1_r2=r2,
+        exact=exact,
+        cd=gamma_cd(spec, theta),
+        hilb=_on_window(_hilb_values, spec, theta, _hilb_window(spec, theta, epsilon, c)),
+        lemma1_r1=_on_window(_gamma1_values, spec, psi, first),
+        lemma1_r2=_on_window(_gamma2_values, spec, psi, second),
     )
 
 
 def write_profile_csv(prof: CovarianceProfile, out, header_lines: tuple[str, ...] = ()) -> None:
     """CSV with columns psi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2; absent
-    values are empty fields; 17 significant digits.
-
-    Streams blocks of _CSV_BLOCK rows, each formatted with one % call per row
-    from a format chosen by the row's NaN pattern."""
-    arrays = (prof.psi, prof.theta, prof.exact, prof.cd, prof.hilb, prof.lemma1_r1, prof.lemma1_r2)
+    values are empty fields; 17 significant digits (field.write_table)."""
+    columns = (prof.psi, prof.theta, prof.exact, prof.cd, prof.hilb, prof.lemma1_r1, prof.lemma1_r2)
     names = ("psi", "theta", "exact", "cd", "hilb", "lemma1_r1", "lemma1_r2")
-    formats: dict[int, str] = {}
-
-    def chunks():
-        for start in range(0, prof.psi.size, _CSV_BLOCK):
-            block = np.column_stack([a[start : start + _CSV_BLOCK] for a in arrays])
-            # bit k of a row's code is set when its column k is NaN
-            codes = np.packbits(np.isnan(block), axis=1, bitorder="little").ravel().tolist()
-            lines = []
-            for code, row in zip(codes, block.tolist()):
-                fmt = formats.get(code)
-                if fmt is None:
-                    # "%.0s" takes a NaN and prints nothing: an empty field
-                    fields = ("%.0s" if code >> k & 1 else "%.16e" for k in range(len(arrays)))
-                    fmt = formats[code] = ",".join(fields) + "\n"
-                lines.append(fmt % tuple(row))
-            yield "".join(lines)
-
-    write_csv(out, header_lines, names, chunks())
+    write_table(out, header_lines, names, [columns])

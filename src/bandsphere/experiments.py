@@ -17,14 +17,13 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
 from .chaos import (
     chaos_variance, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, hermite_integrals, power_row_sums,
 )
-from .field import FieldSpec, band_table, field_blocks, make_spec, replicate_rng, sample_coefficients, write_csv
+from .field import FieldSpec, band_table, field_blocks, make_spec, replicate_rng, sample_coefficients, write_table
 from .grid import build_grid, integrate_rows
 # no sweep calls these whole-field functions; they stay attributes of this
 # module because the benchmark's layer tracer wraps them here
@@ -114,6 +113,12 @@ def _ks_sorted(z: np.ndarray) -> float:
     d_minus = np.subtract(cdf, steps[:-1], out=z).max()
     d_plus = np.subtract(steps[1:], cdf, out=z).max()
     return float(max(d_plus, d_minus))
+
+
+def within_3se(estimate: float, target: float, se: float) -> bool:
+    """The agreement flag of every report: the estimate lies within three
+    standard errors of its exact target."""
+    return abs(estimate - target) <= 3.0 * se
 
 
 def ks_critical_one_sample(r: int) -> float:
@@ -432,9 +437,7 @@ def chaos_dominance_report(config: ExperimentConfig) -> ChaosDominanceReport:
             continue
         norm = row.var_h2_hat / row.var_h2_exact_formula
         h2_norm[row.n] = norm
-        se_norm = row.var_h2_se / row.var_h2_exact_formula
-        if abs(norm - 1.0) > 3.0 * se_norm:
-            h2_ok = False
+        h2_ok &= within_3se(norm, 1.0, row.var_h2_se / row.var_h2_exact_formula)
         q3s[row.n] = row.var_hq[3] * row.n**2
         q4s[row.n] = row.var_hq[4] * row.n**2 / math.log(row.n)
         ratio[row.n] = row.var_hq[3] / row.var_h2_hat
@@ -468,33 +471,21 @@ def chaos_dominance_report(config: ExperimentConfig) -> ChaosDominanceReport:
 # --- serialization -----------------------------------------------------------
 
 def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tuple[str, ...] = ()) -> None:
-    """Replicate-level CSV: replicate,seed,u,area,h1,h2_quad,h2_exact,h3,h4."""
+    """Replicate-level CSV: replicate,seed,u,area,h1,h2_quad,h2_exact,h3,h4;
+    the columns a mode does not compute are empty (field.write_table)."""
     data = result.replicate_data.get(n)
     if data is None:
         raise KeyError(f"no replicate data for n={n}")
     reps = data["h2_exact"].size
+    absent = np.full(reps, np.nan)
     h = data.get("h")
-    seeds = data.get("seed")
-
-    def column(values):
-        return repeat("", reps) if values is None else (f"{v:.16e}" for v in values.tolist())
-
-    def chaos_column(q: int):
-        return column(h[:, q] if h is not None and h.shape[1] > q else None)
-
-    cols = (  # lazy, so the rows stream to the file
-        map(str, range(reps)),
-        repeat("", reps) if seeds is None else map(str, seeds),
-        repeat(f"{result.config.u:.16e}", reps),
-        column(data.get("area")),
-        chaos_column(1),
-        chaos_column(2),
-        column(data["h2_exact"]),
-        chaos_column(3),
-        chaos_column(4),
-    )
+    q_max = -1 if h is None else h.shape[1] - 1
+    h1, h2_quad, h3, h4 = (h[:, q] if q <= q_max else absent for q in (1, 2, 3, 4))
+    u = np.full(reps, result.config.u, dtype=float)
+    columns = (np.arange(reps), data.get("seed", absent), u, data.get("area", absent),
+               h1, h2_quad, data["h2_exact"], h3, h4)
     names = ("replicate", "seed", "u", "area", "h1", "h2_quad", "h2_exact", "h3", "h4")
-    write_csv(out, header_lines, names, (",".join(row) + "\n" for row in zip(*cols)))
+    write_table(out, header_lines, names, [columns])
 
 
 def row_to_dict(row: SweepRow) -> dict:

@@ -1,5 +1,6 @@
 """Band-limited Gaussian ensemble on the sphere: spec, coefficient sampling,
-and synthesis of field values on a quadrature grid.
+synthesis of field values on a quadrature grid, and the one CSV table writer
+of every output file.
 
 The ensemble keeps frequencies ell in [ell_min, n] with
 ell_min = ceil(alpha * n), alpha = sqrt(1 - n^(-beta)), and renormalizes by
@@ -12,6 +13,7 @@ complex convention with conjugate symmetry.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -264,27 +266,57 @@ def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> FieldSample:
     return FieldSample(spec=coeffs.spec, grid=grid, values=values)
 
 
-def write_csv(out, header_lines, columns, chunks) -> None:
-    """Write ``# `` header lines, the column line and the body, an iterable of
-    text chunks of one or more whole CSV lines each, to a path or to an open
-    text stream."""
-    close = isinstance(out, (str, bytes))
-    if close:
-        out = open(out, "w")
-    try:
-        out.writelines(f"# {line}\n" for line in header_lines)
-        out.write(",".join(columns) + "\n")
-        out.writelines(chunks)
-    finally:
-        if close:
-            out.close()
+@contextlib.contextmanager
+def text_sink(out):
+    """``out`` itself when it is an open text stream; the file at path
+    ``out``, opened for writing and closed on exit, when it is a path."""
+    if isinstance(out, (str, bytes)):
+        with open(out, "w") as fh:
+            yield fh
+    else:
+        yield out
+
+
+# rows per chunk of write_table: a chunk's strings stay small
+_TABLE_BLOCK = 256
+
+
+def write_table(out, header_lines, names, blocks) -> None:
+    """Write a CSV table to a path or an open text stream (text_sink): the
+    ``# `` header lines, the column names, then the rows of every tuple of
+    equal-length column arrays that ``blocks`` yields, in order.
+
+    Integer columns are written with %d and float columns with %.16e, 17
+    significant digits, so every value reads back bit for bit; NaN is an
+    empty field.  Each row is one % call, from a format cached per column
+    types and NaN pattern, _TABLE_BLOCK rows a chunk."""
+    formats_of: dict[tuple, dict[int, str]] = {}  # column types -> NaN pattern -> format
+    with text_sink(out) as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(names) + "\n")
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            kinds = tuple("%.16e" if col.dtype.kind == "f" else "%d" for col in columns)
+            formats = formats_of.setdefault(kinds, {})
+            bits = 1 << np.arange(len(columns))
+            for start in range(0, len(columns[0]), _TABLE_BLOCK):
+                part = [col[start : start + _TABLE_BLOCK] for col in columns]
+                # bit k of a row's code is set when its column k is NaN
+                codes = np.column_stack([np.isnan(col) for col in part]) @ bits
+                lines = []
+                for code, row in zip(codes.tolist(), zip(*(col.tolist() for col in part))):
+                    fmt = formats.get(code)
+                    if fmt is None:
+                        # "%.0s" takes a NaN and prints nothing: an empty field
+                        fields = ("%.0s" if code >> k & 1 else kind for k, kind in enumerate(kinds))
+                        fmt = formats[code] = ",".join(fields) + "\n"
+                    lines.append(fmt % row)
+                fh.write("".join(lines))
 
 
 def write_field_csv(sample: FieldSample, out, header_lines: tuple[str, ...] = ()) -> None:
-    """Dump a realization as flat rows theta_index,phi_index,value."""
-    lines = (
-        f"{i},{j},{v:.16e}\n"
-        for i, row in enumerate(sample.values)
-        for j, v in enumerate(row.tolist())
-    )
-    write_csv(out, header_lines, ("theta_index", "phi_index", "value"), lines)
+    """Dump a realization as flat rows theta_index,phi_index,value, one block
+    of rows per colatitude."""
+    phi = np.arange(sample.grid.n_phi)
+    blocks = ((np.full(phi.size, i), phi, row) for i, row in enumerate(sample.values))
+    write_table(out, header_lines, ("theta_index", "phi_index", "value"), blocks)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FOUR_PI = 4.0 * math.pi
-
 
 def gauss_legendre_nodes(n: int, tol: float = 1e-14, max_iter: int = 100):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].

@@ -241,20 +241,14 @@ def bessel_j1(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def hermite_all(q_max: int, t: np.ndarray | float) -> np.ndarray:
-    """Probabilists' Hermite polynomials H_0..H_q_max at t (scalar or array).
+    """Probabilists' Hermite polynomials H_0..H_q_max at t (scalar or array),
+    shape (q_max + 1,) + shape(t): numpy's hermevander, which runs
+    H_0 = 1, H_1 = t, H_k = t H_{k-1} - (k-1) H_{k-2}."""
+    # on first use: only runs that evaluate H_q load numpy.polynomial (1 MB, 4 ms)
+    from numpy.polynomial.hermite_e import hermevander
 
-    H_0 = 1, H_1 = t, H_k = t H_{k-1} - (k-1) H_{k-2}.
-    """
-    if q_max < 0:
-        raise ValueError(f"q_max must be >= 0, got {q_max}")
     t = np.asarray(t, dtype=float)
-    out = np.empty((q_max + 1,) + t.shape)
-    out[0] = 1.0
-    if q_max >= 1:
-        out[1] = t
-    for k in range(2, q_max + 1):
-        out[k] = t * out[k - 1] - (k - 1) * out[k - 2]
-    return out
+    return np.moveaxis(hermevander(t.ravel(), q_max), -1, 0).reshape((q_max + 1,) + t.shape)
 
 
 def gaussian_pdf(u: np.ndarray | float) -> np.ndarray | float:

@@ -308,6 +308,21 @@ def test_memory_preflight_counts_the_field_buffers(tmp_path, monkeypatch, capsys
         assert not out.exists()
 
 
+def test_memory_preflight_counts_every_table_of_a_sweep(tmp_path, monkeypatch, capsys):
+    # the table cache keeps the band table of every n of a sweep until the
+    # process exits, so the tables of the smaller n count as well
+    from bandsphere import cli, field
+
+    spec, grid = field.make_spec(64, 0.5), build_grid(256)  # oversample 4
+    limit = field.band_table_bytes(spec, grid.n_theta) + field.parity_rows_bytes(spec, grid.n_theta)
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: limit)
+    out = tmp_path / "out"
+    argv = ["scaling", "--n", "16,32,64", "--beta", "0.5", "--replicates", "100", "--workers", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_memory_preflight_passes_fitting_and_direct_runs(tmp_path, monkeypatch):
     from bandsphere import cli, field
 

@@ -193,7 +193,7 @@ def test_profile_csv_golden_bytes():
     # each value is "" when NaN, else f"{v:.16e}", whatever the row's NaN
     # pattern; enough rows for several blocks of the writer
     rng = np.random.default_rng(31)
-    rows = 2 * cv._CSV_BLOCK + 37
+    rows = 2 * fm._TABLE_BLOCK + 37
     cols = rng.normal(size=(7, rows)) * 10.0 ** rng.integers(-300, 300, size=(7, rows))
     special = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300]
     cols[:, : len(special)] = np.array(special)[None, :]
@@ -212,6 +212,30 @@ def test_profile_csv_golden_bytes():
     empty = io.StringIO()
     cv.write_profile_csv(cv.CovarianceProfile(prof.spec, 0.1, *np.empty((7, 0))), empty)
     assert empty.getvalue() == "psi,theta,exact,cd,hilb,lemma1_r1,lemma1_r2\n"
+
+
+@pytest.mark.parametrize("n, epsilon", [(50, 0.1), (400, 0.05), (1600, 0.1437)])
+def test_profile_columns_are_the_approximants_on_their_windows(n, epsilon):
+    # every profile column is its approximant, bit for bit, where the
+    # approximant is defined, and NaN elsewhere
+    spec = fm.make_spec(n, 0.5)
+    psi = np.linspace(0.0, cv.theta_to_psi(spec, 0.999 * math.pi), 997)
+    prof = cv.profile(spec, psi, epsilon=epsilon)
+    theta = prof.theta
+    in_h = (theta >= 1.0 / (spec.alpha * spec.n)) & (theta <= math.pi - epsilon)
+    np.testing.assert_array_equal(prof.hilb[in_h], cv.gamma_hilb(spec, theta[in_h], epsilon=epsilon))
+    assert np.all(np.isnan(prof.hilb[~in_h]))
+    lo, hi = cv.lemma1_window(spec, epsilon)
+    in_l = (psi > lo) & (psi <= hi)
+    lemma1 = cv.gamma_lemma1(spec, psi[in_l], epsilon=epsilon)
+    r1 = psi[in_l] < cv.lemma1_regime_boundary(spec)
+    assert r1.any() and (~r1).any()
+    np.testing.assert_array_equal(prof.lemma1_r1[in_l][r1], lemma1[r1])
+    np.testing.assert_array_equal(prof.lemma1_r2[in_l][~r1], lemma1[~r1])
+    assert np.all(np.isnan(prof.lemma1_r1[in_l][~r1])) and np.all(np.isnan(prof.lemma1_r2[in_l][r1]))
+    assert np.all(np.isnan(prof.lemma1_r1[~in_l])) and np.all(np.isnan(prof.lemma1_r2[~in_l]))
+    np.testing.assert_array_equal(prof.exact, cv.gamma_exact(spec, theta))
+    np.testing.assert_array_equal(prof.cd, cv.gamma_cd(spec, theta))
 
 
 def test_gamma_cd_one_pass_matches_two_recurrences():

@@ -1,5 +1,6 @@
 """Experiment orchestration: reproducibility, estimator calibration, fits."""
 
+import io
 import math
 import os
 import pathlib
@@ -325,6 +326,37 @@ def test_replicate_csv_direct_mode(tmp_path):
     header = lines[0].split(",")
     assert header == ["replicate", "seed", "u", "area", "h1", "h2_quad", "h2_exact", "h3", "h4"]
     assert row[3] == "" and row[6] != ""
+
+
+@pytest.mark.parametrize("mode", ["field_full", "h2_direct"])
+def test_replicate_csv_golden_bytes(mode):
+    # replicate and seed as integers, every other value as f"{v:.16e}", and
+    # an empty field for NaN and for the columns the mode does not compute
+    rng = np.random.default_rng(17)
+    reps = 2 * field._TABLE_BLOCK + 11
+    h2_exact = rng.normal(size=reps) * 10.0 ** rng.integers(-300, 300, size=reps)
+    h2_exact[:6] = [-0.0, math.inf, -math.inf, 5e-324, math.nan, 1e300]
+    data = {"h2_exact": h2_exact}
+    if mode == "field_full":  # chaos integrals up to q = 3: h4 stays empty
+        data.update(seed=rng.integers(0, 2**64, size=reps, dtype=np.uint64), area=rng.random(reps),
+                    h=rng.normal(size=(reps, 4)))
+        data["area"][[3, 9]] = math.nan
+    cfg = ex.ExperimentConfig(n_list=(16,), beta=0.5, u=0.75, replicates=reps, mode=mode)
+    buf = io.StringIO()
+    ex.write_replicate_csv(ex.ExperimentResult(cfg, (), replicate_data={16: data}), 16, buf, ("seed = 1",))
+
+    def text(v):
+        return "" if v != v else f"{v:.16e}"
+
+    lines = ["# seed = 1", "replicate,seed,u,area,h1,h2_quad,h2_exact,h3,h4"]
+    for r in range(reps):
+        if mode == "field_full":
+            seed, area, h1, h2q, h3 = (str(data["seed"][r]), text(data["area"][r]),
+                                       *(text(data["h"][r, q]) for q in (1, 2, 3)))
+        else:
+            seed = area = h1 = h2q = h3 = ""
+        lines.append(",".join([str(r), seed, "7.5000000000000000e-01", area, h1, h2q, text(h2_exact[r]), h3, ""]))
+    assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 def test_chaos_sweep_grid_resolves_q_max():

@@ -1,5 +1,6 @@
 """Ensemble spec arithmetic, coefficient law, and synthesis checks."""
 
+import io
 import math
 
 import numpy as np
@@ -188,6 +189,25 @@ def test_field_csv_dump(tmp_path):
     i, j, v = lines[2].split(",")
     assert (int(i), int(j)) == (0, 0)
     assert float(v) == sample.values[0, 0]
+
+
+def test_field_csv_golden_bytes():
+    # theta_index,phi_index as integers, each value as f"{v:.16e}", and NaN
+    # as an empty field, one block of the writer per colatitude
+    rng = np.random.default_rng(5)
+    grid = build_grid(16)
+    shape = (grid.n_theta, grid.n_phi)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    special = [-0.0, 0.0, math.inf, -math.inf, 5e-324, math.nan, 1e300, -1e-300]
+    values[1, : len(special)] = special
+    sample = fm.FieldSample(spec=fm.make_spec(8, 0.5), grid=grid, values=values)
+    buf = io.StringIO()
+    fm.write_field_csv(sample, buf, header_lines=("seed = 1", "n = 8"))
+    expect = "# seed = 1\n# n = 8\ntheta_index,phi_index,value\n" + "".join(
+        f"{i},{j},{'' if v != v else f'{v:.16e}'}\n"
+        for i, row in enumerate(values.tolist()) for j, v in enumerate(row)
+    )
+    assert buf.getvalue() == expect
 
 
 def full_node_sum(coeffs, grid):
