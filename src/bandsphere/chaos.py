@@ -32,13 +32,7 @@ class ExcursionResult:
     spec: FieldSpec
 
 
-def excursion_area(sample: FieldSample, u: float) -> ExcursionResult:
-    """Area of the region where the realization exceeds u (steradians)."""
-    counts = np.count_nonzero(sample.values > u, axis=1)
-    return ExcursionResult(u=u, area=float(integrate_rows(sample.grid, counts)), spec=sample.spec)
-
-
-@functools.cache  # every replicate's hermite_integrals reads it
+@functools.cache  # every replicate's reduce_blocks reads it
 def _hermite_power_coefficients(q_max: int) -> np.ndarray:
     """c[q, k] with H_q(t) = sum_k c[q, k] t^k (probabilists' Hermite), read-only."""
     from numpy.polynomial.hermite_e import herme2poly  # on first use, as in specfun.hermite_all
@@ -50,38 +44,43 @@ def _hermite_power_coefficients(q_max: int) -> np.ndarray:
     return c
 
 
-def power_row_sums(values: np.ndarray, q_max: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of the powers values^k for k = 0..q_max, shape
-    (q_max + 1, rows), written into ``out`` when given.
-
-    One in-place running power, no array per order; each row's sums depend
-    on that row alone, so a field reduced block of rows by block of rows
-    gives the same bits as the whole field."""
+def reduce_blocks(blocks, grid: SphereGrid, u: float, q_max: int) -> tuple[float, np.ndarray]:
+    """Area above u and the sphere integrals of H_q(field), q = 0..q_max, of
+    a field given as ``(rows, values)`` blocks of rows (field_blocks, or the
+    whole field as one block).  Each block gives per-row power sums, by one
+    in-place running power, and exceedance counts; both are integrated once.
+    A row's sums depend on that row alone, so any blocking gives the same bits."""
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    v = values
-    sums = np.empty((q_max + 1, v.shape[0])) if out is None else out
-    sums[0] = v.shape[1]
-    if q_max >= 1:
-        sums[1] = v.sum(axis=1)
-    power = v
-    for k in range(2, q_max + 1):
-        sums[k] = np.einsum("ij,ij->i", power, v)  # rows of v^(k-1) * v
-        if k < q_max:
-            power = v * v if power is v else np.multiply(power, v, out=power)
-    return sums
+    sums = np.empty((q_max + 1, grid.n_theta))
+    counts = np.empty(grid.n_theta, dtype=np.min_scalar_type(grid.n_phi))  # exact up to n_phi
+    mask = None
+    for rows, v in blocks:
+        sums[0, rows] = v.shape[1]
+        if q_max >= 1:
+            sums[1, rows] = v.sum(axis=1)
+        power = v
+        for k in range(2, q_max + 1):
+            sums[k, rows] = np.einsum("ij,ij->i", power, v)  # rows of v^(k-1) * v
+            if k < q_max:
+                power = v * v if power is v else np.multiply(power, v, out=power)
+        if mask is None:  # the first block is the largest
+            mask = np.empty(v.shape, dtype=bool)
+        above = np.greater(v, u, out=mask[: len(v)])
+        np.add.reduce(above.view(np.uint8), axis=1, dtype=counts.dtype, out=counts[rows])
+    h = _hermite_power_coefficients(q_max) @ integrate_rows(grid, sums)
+    return float(integrate_rows(grid, counts)), h
 
 
-def hermite_integrals(grid: SphereGrid, sums: np.ndarray) -> np.ndarray:
-    """Sphere integrals of H_q(field) for q = 0..q_max from the
-    (q_max + 1, n_theta) power_row_sums of the whole field."""
-    return _hermite_power_coefficients(sums.shape[0] - 1) @ integrate_rows(grid, sums)
+def excursion_area(sample: FieldSample, u: float) -> ExcursionResult:
+    """Area of the region where the realization exceeds u (steradians)."""
+    area = reduce_blocks([(slice(None), sample.values)], sample.grid, u, 0)[0]
+    return ExcursionResult(u=u, area=area, spec=sample.spec)
 
 
 def chaos_integrals(sample: FieldSample, q_max: int) -> np.ndarray:
-    """Sphere integrals of H_q(field) for q = 0..q_max: the moments of the
-    field combined with the Hermite coefficients once."""
-    return hermite_integrals(sample.grid, power_row_sums(sample.values, q_max))
+    """Sphere integrals of H_q(field) for q = 0..q_max (reduce_blocks)."""
+    return reduce_blocks([(slice(None), sample.values)], sample.grid, math.inf, q_max)[1]
 
 
 def h2_exact_from_coeffs(coeffs: HarmonicCoefficients) -> float:

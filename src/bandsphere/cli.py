@@ -31,7 +31,6 @@ from .grid import build_grid, fft_length, theta_count
 from .specfun import FOUR_PI, gaussian_cdf
 
 SEED_ENV_VAR = "BANDSPHERE_SEED"
-DEFAULT_SEED = 20260808
 SLOPE_TOLERANCE = 0.15
 
 
@@ -41,7 +40,7 @@ class UsageError(Exception):
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    return int(env) if env else ex.DEFAULT_SEED
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -52,8 +51,9 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-_MODES = ("field-full", "h2-direct", "field_full", "h2_direct")
-_MODE_ALIASES = {"field-full": "field_full", "h2-direct": "h2_direct"}
+def _mode(text: str) -> str:
+    """A mode in either spelling, h2-direct or h2_direct, as ex.MODES spells it."""
+    return text.replace("-", "_")
 
 # every setting a flag or a config file can give: key -> (type, help, choices).
 # The flag is --key with dashes, except n_list, which the sweeps over n take as --n.
@@ -61,12 +61,12 @@ _FLAGS = {
     "n": (int, "top frequency of the band", None),
     "n_list": (_int_list, "comma-separated top frequencies, e.g. 64,128,256", None),
     "beta": (float, "bandwidth exponent in (0, 1)", None),
-    "seed": (int, f"master seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})", None),
+    "seed": (int, f"master seed (default: ${SEED_ENV_VAR} or {ex.DEFAULT_SEED})", None),
     "band_rounding": (str, "rounding of the band edge alpha*n", ("ceil", "floor")),
     "out": (str, "output path (default: stdout)", None),
     "u": (float, "threshold", None),
     "replicates": (int, "Monte Carlo replicates per n", None),
-    "mode": (str, "full synthesis or direct chi-square draws", _MODES),
+    "mode": (_mode, "full synthesis or direct chi-square draws", ex.MODES),
     "oversample": (float, "grid degree / n", None),
     "q_max": (int, "highest chaos order", None),
     "workers": (int, "parallel workers; output-invariant", None),
@@ -121,8 +121,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         resolved["seed"] = _default_seed()
     if resolved.get("n", resolved.get("n_list")) is None or resolved["beta"] is None:
         raise UsageError(f"{args.command} requires --n and --beta")
-    if "mode" in resolved:
-        resolved["mode"] = _MODE_ALIASES.get(resolved["mode"], resolved["mode"])
     return resolved
 
 
@@ -223,7 +221,7 @@ def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
         return
     bands = [(make_spec(n, config.beta, config.band_rounding), ex.grid_degree(n, config.oversample, config.q_max))
              for n in config.n_list]  # the config has checked every band
-    _check_fits(bands, min(config.workers, os.cpu_count() or 1))
+    _check_fits(bands, ex.pool_size(config.workers))
 
 
 # --- subcommands: each takes the resolved settings ----------------------------
@@ -235,7 +233,7 @@ def cmd_covariance(r: dict) -> int:
         raise UsageError("need at least 2 grid points")
     spec = _make_spec(r)
     psi_max = r["psi_max"] if r["psi_max"] is not None else cov.lemma1_window(spec, r["epsilon"])[1]
-    if not 0.0 <= r["psi_min"] < psi_max or cov.psi_to_theta(spec, psi_max) > math.pi:
+    if not 0.0 <= r["psi_min"] < psi_max <= cov.theta_to_psi(spec, math.pi):
         raise UsageError(f"need 0 <= psi_min < psi_max <= alpha*n*pi = {cov.theta_to_psi(spec, math.pi):.6g}")
     psi = np.linspace(r["psi_min"], psi_max, r["points"])
     prof = cov.profile(spec, psi, epsilon=r["epsilon"])
@@ -293,8 +291,8 @@ def cmd_scaling(r: dict) -> int:
 
 
 def cmd_clt(r: dict) -> int:
-    if r["replicates"] < 500:
-        raise UsageError("clt requires at least 500 replicates")
+    if r["replicates"] < ex.CLT_MIN_SAMPLES:
+        raise UsageError(f"clt requires at least {ex.CLT_MIN_SAMPLES} replicates")
     result = _sweep(r)
     row = result.rows[0]
     if row.error is not None:

@@ -20,11 +20,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .chaos import (
-    chaos_variance, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, hermite_integrals, power_row_sums,
-)
+from .chaos import chaos_variance, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, reduce_blocks
 from .field import FieldSpec, band_table, field_blocks, make_spec, replicate_rng, sample_coefficients, write_table
-from .grid import build_grid, integrate_rows
+from .grid import build_grid
 # no sweep calls these whole-field functions; they stay attributes of this
 # module because the benchmark's layer tracer wraps them here
 from .chaos import chaos_integrals, excursion_area  # noqa: F401
@@ -38,6 +36,10 @@ BOOTSTRAP_RESAMPLES = 1000  # per bootstrap standard error (a test reference onl
 
 MODES = ("field_full", "h2_direct")
 
+DEFAULT_SEED = 20260808
+
+CLT_MIN_SAMPLES = 500  # the KS test of clt_test, and so the clt subcommand, needs this many
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -45,7 +47,7 @@ class ExperimentConfig:
     beta: float
     u: float = 1.0
     replicates: int = 2000
-    master_seed: int = 20260808
+    master_seed: int = DEFAULT_SEED
     oversample: float = 4.0
     mode: str = "field_full"
     q_max: int = 4
@@ -130,8 +132,8 @@ def clt_test(samples: np.ndarray) -> tuple[float, bool]:
     """Standardize the samples and KS-test them against the standard normal
     at the 1% level."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 500:
-        raise ValueError(f"need >= 500 samples, got {samples.size}")
+    if samples.size < CLT_MIN_SAMPLES:
+        raise ValueError(f"need >= {CLT_MIN_SAMPLES} samples, got {samples.size}")
     sd = samples.std(ddof=1)
     if not sd > 0:
         raise ValueError("degenerate sample: zero standard deviation")
@@ -181,39 +183,25 @@ def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator) -> float:
 
 def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, r: int):
     """Seed id, area, chaos integrals and exact h2 of replicate r.  The field
-    is reduced block of rows by block of rows as field_blocks yields it, to
-    per-row power sums and exceedance counts; no whole field is built."""
+    is reduced as field_blocks yields it; no whole field is built."""
     rng = replicate_rng(master_seed, spec.n, r)
     seed_id = rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]
     coeffs = sample_coefficients(spec, rng)
-    sums = np.empty((q_max + 1, grid.n_theta))
-    counts = np.empty(grid.n_theta, dtype=np.min_scalar_type(grid.n_phi))  # exact up to n_phi
-    mask = None
-    for rows, values in field_blocks(coeffs, grid):
-        power_row_sums(values, q_max, out=sums[:, rows])
-        if mask is None:  # the first block is the largest
-            mask = np.empty(values.shape, dtype=bool)
-        above = np.greater(values, u, out=mask[: len(values)])
-        np.add.reduce(above.view(np.uint8), axis=1, dtype=counts.dtype, out=counts[rows])
-    area = float(integrate_rows(grid, counts))
-    return seed_id, area, hermite_integrals(grid, sums), h2_exact_from_coeffs(coeffs)
+    area, h = reduce_blocks(field_blocks(coeffs, grid), grid, u, q_max)
+    return seed_id, area, h, h2_exact_from_coeffs(coeffs)
 
 
 def _replicate_chunk(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, bounds):
     """Arrays of replicates lo..hi-1, bounds = (lo, hi): the one replicate
     kernel, called in-process or, pickled, by a pool worker."""
-    reps = range(*bounds)
-    data = {
-        "area": np.empty(len(reps)),
-        "h": np.empty((len(reps), q_max + 1)),
-        "h2_exact": np.empty(len(reps)),
-        "seed": np.empty(len(reps), dtype=np.uint64),
-    }
-    for i, r in enumerate(reps):
-        data["seed"][i], data["area"][i], data["h"][i], data["h2_exact"][i] = _replicate_row(
-            spec, grid, u, q_max, master_seed, r
-        )
-    return data
+    seed, area, h, h2x = zip(*(_replicate_row(spec, grid, u, q_max, master_seed, r) for r in range(*bounds)))
+    return {"area": np.array(area), "h": np.array(h), "h2_exact": np.array(h2x),
+            "seed": np.array(seed, dtype=np.uint64)}
+
+
+def pool_size(workers: int) -> int:
+    """Processes that a sweep with ``workers`` runs on: at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
 
 
 def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
@@ -230,7 +218,7 @@ def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
     else:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         mp_ctx = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1), mp_context=mp_ctx) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size(workers), mp_context=mp_ctx) as pool:
             chunks = list(pool.map(kernel, bounds))
     return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
 
@@ -292,7 +280,7 @@ def _sweep_row(config: ExperimentConfig, n: int):
                           for q, v in {2: stats["var_h2_hat"], **var_hq}.items()} if var_s > 0 else {2: math.nan},
         )
     clt_sample = h2x if areas is None else areas
-    ks_stat, ks_pass = clt_test(clt_sample) if clt_sample.size >= 500 else (None, None)
+    ks_stat, ks_pass = clt_test(clt_sample) if clt_sample.size >= CLT_MIN_SAMPLES else (None, None)
     row = SweepRow(
         n=n,
         ell_min=spec.ell_min,

@@ -209,14 +209,13 @@ def _parity_rows(coeffs: HarmonicCoefficients, table: np.ndarray) -> np.ndarray:
     return np.matmul(table.transpose(0, 2, 1), signed).view(complex)
 
 
-def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray | None = None):
+def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid):
     """Evaluate the realization block of rows by block of rows.
 
     Yields ``(rows, values)``: ``rows`` is a slice of colatitude indices,
     descending for the southern blocks, and ``values`` the field on them,
-    shape (len(rows), n_phi).  With ``out`` (n_theta, n_phi) the values are
-    written into ``out[rows]``; without it every block reuses one buffer,
-    which the next block overwrites.
+    shape (len(rows), n_phi), in one reused buffer that the next block
+    overwrites.
 
     One batched matmul gives the half-spectra of every northern row and its
     southern mirror (_parity_rows).  Each block of northern rows, and its
@@ -240,7 +239,7 @@ def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray
     spectrum = np.zeros((size, half + 1), dtype=complex)
     kept = min(n, half) + 1
     folded = np.arange(half + 1, n + 1)
-    buffer = np.empty((size, grid.n_phi)) if out is None else None
+    buffer = np.empty((size, grid.n_phi))
     last = grid.n_theta - 1
     for t0 in range(0, north, size):
         t1 = min(t0 + size, north)
@@ -253,16 +252,15 @@ def field_blocks(coeffs: HarmonicCoefficients, grid: SphereGrid, out: np.ndarray
                 spectrum[:count, grid.n_phi - folded] += rows[folded, t0:t0 + count, k].T.conj()
                 # irfft reads only the real part of the Nyquist bin, at half weight
                 spectrum[:count, half] = 2.0 * spectrum[:count, half].real
-            values = buffer[:count] if out is None else out[target]
-            np.fft.irfft(spectrum[:count], n=grid.n_phi, axis=1, norm="forward", out=values)
+            values = np.fft.irfft(spectrum[:count], n=grid.n_phi, axis=1, norm="forward", out=buffer[:count])
             yield target, values
 
 
 def synthesize(coeffs: HarmonicCoefficients, grid: SphereGrid) -> FieldSample:
     """Evaluate the realization on all grid nodes (see field_blocks)."""
     values = np.empty((grid.n_theta, grid.n_phi))
-    for _ in field_blocks(coeffs, grid, out=values):
-        pass
+    for rows, block in field_blocks(coeffs, grid):
+        values[rows] = block
     return FieldSample(spec=coeffs.spec, grid=grid, values=values)
 
 

@@ -46,6 +46,20 @@ def test_covariance_psi_max_past_the_sphere_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_covariance_psi_max_at_the_sphere_end_is_accepted(tmp_path, capsys):
+    # psi = alpha*n*pi itself: its round trip to theta rounds above pi at n = 1600
+    out = tmp_path / "prof.csv"
+    bound = 4963.318706784709
+    argv = ["covariance", "--n", "1600", "--beta", "0.5", "--points", "50", "--psi-max"]
+    assert run_cli(argv + [repr(bound), "--out", str(out)]) == 0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == bound and float(last[1]) == math.pi
+    above = tmp_path / "above.csv"
+    assert run_cli(argv + [repr(math.nextafter(bound, math.inf)), "--out", str(above)]) == 2
+    assert "psi_max <= alpha*n*pi" in capsys.readouterr().err
+    assert not above.exists()
+
+
 def test_simulate_dump(tmp_path):
     out = tmp_path / "field.csv"
     rc = run_cli(["simulate", "--n", "12", "--beta", "0.5", "--seed", "3", "--out", str(out)])
@@ -72,6 +86,19 @@ def test_excursion_direct_mode_flag_and_exit(tmp_path):
     row = payload["rows"][0]
     assert row["dof"] == 1176
     assert abs(row["var_h2_hat"] - row["var_h2_exact_formula"]) <= 3 * row["var_h2_se"]
+    # either spelling, from a flag or a config file, runs the same mode
+    again = tmp_path / "again.json"
+    argv = ["excursion", "--n", "100", "--beta", "0.5", "--replicates", "20000", "--seed", "42"]
+    assert run_cli(argv + ["--mode", "h2_direct", "--out", str(again)]) == 0
+    assert again.read_text() == out.read_text()
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("mode = field-full\n")
+    field_out = tmp_path / "field.json"
+    argv = ["excursion", "--config", str(cfg), "--n", "16", "--beta", "0.5", "--replicates", "100"]
+    assert run_cli(argv + ["--out", str(field_out)]) == 0
+    payload = json.loads(field_out.read_text())
+    assert payload["config"]["mode"] == "field_full"
+    assert payload["rows"][0]["var_s_hat"] is not None
 
 
 def test_clt_byte_identical_reruns(tmp_path):

@@ -250,3 +250,16 @@ def test_gamma_cd_one_pass_matches_two_recurrences():
             two_pass = two_pass - spec.ell_min * jacobi_p10(spec.ell_min - 1, x)
         two_pass *= spec.c_norm / (4.0 * math.pi)
         assert np.abs(cv.gamma_cd(spec, th) - two_pass).max() <= 1e-13
+
+
+def test_profile_accepts_the_sphere_end_and_rejects_beyond_it():
+    # at these n the round trip psi -> theta of psi = alpha*n*pi rounds above pi
+    for n in (5, 31, 1600):
+        spec = fm.make_spec(n, 0.5)
+        bound = float(cv.theta_to_psi(spec, math.pi))
+        assert cv.psi_to_theta(spec, bound) > math.pi
+        prof = cv.profile(spec, np.linspace(0.0, bound, 9))
+        assert prof.theta[-1] == math.pi
+        np.testing.assert_array_equal(prof.exact, cv.gamma_exact(spec, prof.theta))
+        with pytest.raises(ValueError):
+            cv.profile(spec, [0.0, math.nextafter(bound, math.inf)])

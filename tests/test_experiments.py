@@ -429,6 +429,15 @@ def test_replicate_row_counts_every_longitude_of_a_wide_ring():
     assert abs(area - 4 * math.pi) <= 1e-12
 
 
+def test_excursion_area_counts_every_longitude_of_a_wide_ring():
+    # the whole-field counterpart: one block of every row, n_phi > 255
+    spec = make_spec(64, 0.5)
+    grid = build_grid(4 * spec.n)
+    assert grid.n_phi >= 270
+    sample = synthesize(sample_coefficients(spec, replicate_rng(1, spec.n, 0)), grid)
+    assert abs(excursion_area(sample, -1e300).area - 4 * math.pi) <= 1e-12
+
+
 def test_replicate_row_peaks_below_one_field():
     # the field is reduced in blocks of rows: no replicate holds a whole
     # (n_theta, n_phi) field, let alone a copy of it
