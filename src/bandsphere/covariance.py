@@ -204,8 +204,8 @@ def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1, c: float = 1.0) -> 
     psi = np.atleast_1d(np.asarray(psi_grid, dtype=float))
     if np.any(psi > theta_to_psi(spec, math.pi)):
         raise ValueError("psi must lie in [0, alpha*n*pi]")
-    # psi = alpha*n*pi can round above pi on the way back: it maps to pi
-    theta = np.minimum(psi_to_theta(spec, psi), math.pi)
+    theta = psi_to_theta(spec, psi)
+    np.minimum(theta, math.pi, out=theta)  # psi = alpha*n*pi can round above pi on the way back
     exact = gamma_exact(spec, theta)  # raises for theta < 0
     first, second = _lemma1_regimes(spec, psi, epsilon)
     return CovarianceProfile(
