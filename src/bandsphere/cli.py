@@ -215,8 +215,8 @@ def _check_fits(bands, workers: int = 1, whole_field: bool = False) -> None:
 
 
 def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
-    """_check_fits for every n of a field-mode sweep, on as many processes
-    as _run_replicates starts."""
+    """_check_fits for every n of a field-mode sweep: one pool per sweep,
+    and every n's table is built before it forks."""
     if config.mode != "field_full":
         return
     bands = [(make_spec(n, config.beta, config.band_rounding), ex.grid_degree(n, config.oversample, config.q_max))

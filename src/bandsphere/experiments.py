@@ -11,6 +11,7 @@ arrays indexed by replicate, so reductions always run in the same order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import multiprocessing
@@ -204,23 +205,45 @@ def pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _run_replicates(spec, grid, u, q_max, master_seed, replicates, workers):
-    """Evaluate all replicates in chunks, in this process or on a pool of at
-    most one worker per CPU, and join the chunks in replicate order.  The
-    chunks depend on ``workers`` only, so the output does not depend on the
-    CPU count.  Workers fork where the platform can, so they share the band
-    table built before the pool."""
+@contextlib.contextmanager
+def _phase(errors: dict, n: int, name: str):
+    """Record an exception of the block as n's row error, prefixed with the phase."""
+    try:
+        yield
+    except Exception as exc:  # a failure stays in its row
+        errors[n] = f"{name}: {type(exc).__name__}: {exc}"
+
+
+def _finite(data: dict) -> dict:
+    """The replicate arrays; a NaN or infinity is an error, not a NaN statistic."""
+    for key, values in data.items():
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"non-finite {key} at replicate {bad[0][0]}")
+    return data
+
+
+def _run_replicates(kernels: dict, replicates: int, workers: int, errors: dict) -> dict:
+    """Every n's replicate arrays from its chunk kernel, joined in replicate
+    order, or an error if a chunk raised.  With workers > 1, one pool of at
+    most one worker per CPU queues every n's chunks at once, largest n first,
+    so the tail of the queue is cheap.  The chunks depend on ``workers``
+    only, so the output does not depend on the CPU count.  Workers fork where
+    the platform can, so they share the band tables built before the pool."""
     size = max(1, replicates // (workers * 8))
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
-    kernel = functools.partial(_replicate_chunk, spec, grid, u, q_max, master_seed)
-    if workers <= 1:
-        chunks = list(map(kernel, bounds))
-    else:
+    pool, run, data = contextlib.nullcontext(), map, {}
+    if workers > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        mp_ctx = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=pool_size(workers), mp_context=mp_ctx) as pool:
-            chunks = list(pool.map(kernel, bounds))
-    return {key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]}
+        pool = ProcessPoolExecutor(max_workers=pool_size(workers), mp_context=multiprocessing.get_context(method))
+        run = pool.map
+    with pool:
+        pending = {n: run(kernels[n], bounds) for n in reversed(kernels)}  # largest n first
+        for n in kernels:
+            with _phase(errors, n, "replicates"):
+                chunks = list(pending[n])
+                data[n] = _finite({key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]})
+    return data
 
 
 def grid_degree(n: int, oversample: float, q_max: int = 2) -> int:
@@ -235,8 +258,8 @@ def chaos_weight(q: int, u: float) -> float:
     return jq_coefficient(q, u) ** 2 / math.factorial(q) ** 2
 
 
-def _sweep_row(config: ExperimentConfig, n: int):
-    """Summary row and replicate arrays at top frequency n.
+def _sweep_row(config: ExperimentConfig, spec: FieldSpec, data: dict) -> SweepRow:
+    """Summary row of one n from its replicate arrays.
 
     The mode chooses only where the arrays come from: synthesized fields
     (area, chaos integrals and exact h2 of each replicate) or direct
@@ -245,16 +268,6 @@ def _sweep_row(config: ExperimentConfig, n: int):
     for Var(h2), the moment one for the other variances, s/sqrt(r) for the
     mean.
     """
-    spec = make_spec(n, config.beta, config.band_rounding)
-    if config.mode == "field_full":
-        grid = build_grid(grid_degree(n, config.oversample, config.q_max))
-        band_table(spec, grid)  # build before forking so workers share it
-        data = _run_replicates(
-            spec, grid, config.u, config.q_max, config.master_seed, config.replicates, config.workers
-        )
-    else:
-        draws = h2_sample_direct(spec, replicate_rng(config.master_seed, n, 0), size=config.replicates)
-        data = {"h2_exact": draws}
     areas = data.get("area")
     h2x = data["h2_exact"]
     r = h2x.size
@@ -281,8 +294,8 @@ def _sweep_row(config: ExperimentConfig, n: int):
         )
     clt_sample = h2x if areas is None else areas
     ks_stat, ks_pass = clt_test(clt_sample) if clt_sample.size >= CLT_MIN_SAMPLES else (None, None)
-    row = SweepRow(
-        n=n,
+    return SweepRow(
+        n=spec.n,
         ell_min=spec.ell_min,
         dof=spec.dof,
         var_h2_exact_formula=var_h2,
@@ -290,23 +303,38 @@ def _sweep_row(config: ExperimentConfig, n: int):
         clt_pass=ks_pass,
         **stats,
     )
-    return row, data
 
 
 def run_variance_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Run the per-n Monte Carlo and aggregate summary rows.
 
-    A failure for one n is recorded in its row and does not abort the others.
+    In field mode every n's grid and band table is built before one pool
+    runs every n's replicates.  A failure for one n is recorded in its row,
+    after the phase that failed, and does not abort the others.
     """
-    rows = []
-    replicate_data = {}
-    for n in config.n_list:
-        try:
-            row, replicate_data[n] = _sweep_row(config, n)
-        except Exception as exc:  # propagate per-n without aborting the sweep
-            spec = make_spec(n, config.beta, config.band_rounding)  # checked by the config
-            row = SweepRow(n=n, ell_min=spec.ell_min, dof=spec.dof, error=f"{type(exc).__name__}: {exc}")
-        rows.append(row)
+    specs = {n: make_spec(n, config.beta, config.band_rounding) for n in config.n_list}  # checked by the config
+    errors, data = {}, {}
+    if config.mode == "field_full":
+        kernels = {}
+        for n, spec in specs.items():
+            with _phase(errors, n, "setup"):
+                grid = build_grid(grid_degree(n, config.oversample, config.q_max))
+                band_table(spec, grid)  # build before forking so workers share it
+                kernels[n] = functools.partial(_replicate_chunk, spec, grid, config.u, config.q_max, config.master_seed)
+        data = _run_replicates(kernels, config.replicates, config.workers, errors)
+    else:
+        for n, spec in specs.items():
+            with _phase(errors, n, "replicates"):
+                rng = replicate_rng(config.master_seed, n, 0)
+                data[n] = _finite({"h2_exact": h2_sample_direct(spec, rng, size=config.replicates)})
+    rows, replicate_data = [], {}
+    for n, spec in specs.items():
+        if n in data:
+            with _phase(errors, n, "statistics"):
+                rows.append(_sweep_row(config, spec, data[n]))
+                replicate_data[n] = data[n]
+        if n in errors:
+            rows.append(SweepRow(n=n, ell_min=spec.ell_min, dof=spec.dof, error=errors[n]))
     result = ExperimentResult(config=config, rows=tuple(rows), replicate_data=replicate_data)
     if len(usable_rows(rows)) >= 3:  # h2_direct rows carry no area variance
         slope, ci = fit_scaling_exponent(rows)

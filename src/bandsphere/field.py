@@ -169,8 +169,8 @@ def parity_rows_bytes(spec: FieldSpec, n_theta: int) -> int:
 def band_table(spec: FieldSpec, grid: SphereGrid) -> np.ndarray:
     """Normalized associated-Legendre table of the band on the northern grid
     nodes, shape (n + 1, band_width, ceil(n_theta / 2)), entry [m, l - ell_min, t]
-    = N_l^m(cos_nodes[t]).  Cached per (band, grid geometry); build it before
-    forking workers so they share one copy."""
+    = N_l^m(cos_nodes[t]).  Cached per (band, grid geometry); a sweep builds
+    every n's table before it forks its one pool, so the workers share them."""
     key = (spec.ell_min, spec.n, grid.n_theta, grid.n_phi)
     table = _TABLE_CACHE.get(key)
     if table is None:

@@ -40,10 +40,11 @@ def run_n256():
 
 @pytest.fixture(scope="module")
 def dominance_run():
-    """Criterion 10 run: field mode, n in {64,128,256}, q_max=4, R=2000."""
+    """Criterion 10 run: field mode, n in {64,128,256}, q_max=4, R=2000,
+    on two workers (the output does not depend on the worker count)."""
     cfg = ex.ExperimentConfig(
         n_list=(64, 128, 256), beta=0.5, u=1.0, replicates=2000,
-        master_seed=MASTER_SEED, mode="field_full", q_max=4,
+        master_seed=MASTER_SEED, mode="field_full", q_max=4, workers=2,
     )
     return ex.chaos_dominance_report(cfg)
 
@@ -164,7 +165,7 @@ def test_criterion_8_scaling_exponent(beta):
     n_list = (64, 128, 256, 512)
     cfg = ex.ExperimentConfig(
         n_list=n_list, beta=beta, u=1.0, replicates=2000,
-        master_seed=MASTER_SEED, mode="field_full", q_max=2,
+        master_seed=MASTER_SEED, mode="field_full", q_max=2, workers=2,
     )
     target = ex.dof_scaling_exponent(n_list, beta, cfg.band_rounding)
     limit = -(2.0 - beta)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_result_invariant_under_worker_count(monkeypatch):
     monkeypatch.setattr(ex.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(ex.multiprocessing, "get_context", lambda m: methods.append(m) or get_context(m))
     others.append(ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=2)))
-    assert methods == ["spawn", "spawn"]
+    assert methods == ["spawn"]  # one pool per sweep
     for r2 in others:
         for a, b in zip(r1.rows, r2.rows, strict=True):
             assert a.error is None
@@ -174,10 +175,10 @@ def test_sweep_rows_use_no_bootstrap(monkeypatch, mode):
 def test_per_n_failure_does_not_abort_sweep(monkeypatch):
     real = ex._sweep_row
 
-    def flaky(config, n):
-        if n == 24:
+    def flaky(config, spec, data):
+        if spec.n == 24:
             raise RuntimeError("synthetic failure")
-        return real(config, n)
+        return real(config, spec, data)
 
     monkeypatch.setattr(ex, "_sweep_row", flaky)
     cfg = ex.ExperimentConfig(n_list=(16, 24, 32), beta=0.5, replicates=120, mode="field_full", master_seed=3)
@@ -185,6 +186,88 @@ def test_per_n_failure_does_not_abort_sweep(monkeypatch):
     assert res.rows[1].error is not None and "synthetic failure" in res.rows[1].error
     assert res.rows[0].error is None and res.rows[2].error is None
     assert res.rows[0].var_s_hat is not None
+
+
+def _assert_same_rows(res, clean, ns):
+    for n in ns:
+        i = clean.config.n_list.index(n)
+        assert ex.row_to_dict(res.rows[i]) == ex.row_to_dict(clean.rows[i])
+        for key in ("area", "h", "h2_exact", "seed"):
+            assert np.array_equal(res.replicate_data[n][key], clean.replicate_data[n][key])
+
+
+def test_one_pool_per_sweep(monkeypatch):
+    base = dict(n_list=(16, 24, 32), beta=0.5, replicates=100, mode="field_full", master_seed=5, q_max=2)
+    r1 = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    pools = []
+    pool = ex.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", spy)
+    r2 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=2))
+    assert len(pools) == 1
+    _assert_same_rows(r2, r1, base["n_list"])
+    ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    assert len(pools) == 1  # one worker runs in this process, with no pool
+
+
+@pytest.mark.parametrize("phase, target, workers", [
+    ("setup", "band_table", 1),
+    ("replicates", "_replicate_row", 1),
+    # forked workers inherit the patch; the chunk raises in a pool worker
+    pytest.param("replicates", "_replicate_row", 2, marks=pytest.mark.skipif(
+        "fork" not in ex.multiprocessing.get_all_start_methods(), reason="needs fork")),
+    ("statistics", "h2_variance_formula", 1),
+])
+def test_row_error_names_the_phase(monkeypatch, phase, target, workers):
+    base = dict(n_list=(16, 24, 32), beta=0.5, replicates=120, mode="field_full", master_seed=3, workers=workers)
+    clean = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    real = getattr(ex, target)
+
+    def flaky(spec, *args):
+        if spec.n == 24:
+            raise RuntimeError("synthetic failure")
+        return real(spec, *args)
+
+    monkeypatch.setattr(ex, target, flaky)
+    done = []
+    sweep = threading.Thread(target=lambda: done.append(ex.run_variance_sweep(ex.ExperimentConfig(**base))),
+                             daemon=True)
+    sweep.start()
+    sweep.join(timeout=300)
+    assert not sweep.is_alive(), "the sweep did not return"
+    res = done[0]
+    assert res.rows[1].error == f"{phase}: RuntimeError: synthetic failure"
+    assert res.rows[1].var_s_hat is None and 24 not in res.replicate_data
+    _assert_same_rows(res, clean, (16, 32))
+    assert res.fitted_exponent is None  # two usable rows are too few to fit
+
+
+@pytest.mark.parametrize("column", ["area", "h", "h2_exact"])
+def test_non_finite_replicate_is_a_row_error(monkeypatch, column):
+    base = dict(n_list=(16, 24), beta=0.5, replicates=120, mode="field_full", master_seed=3, q_max=3)
+    clean = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    real = ex._replicate_row
+
+    def poisoned(spec, grid, u, q_max, master_seed, r):
+        seed_id, area, h, h2x = real(spec, grid, u, q_max, master_seed, r)
+        if spec.n == 24 and r == 7:
+            if column == "area":
+                area = math.nan
+            elif column == "h":
+                h = h.copy()
+                h[q_max] = math.inf
+            else:
+                h2x = -math.inf
+        return seed_id, area, h, h2x
+
+    monkeypatch.setattr(ex, "_replicate_row", poisoned)
+    res = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    assert res.rows[1].error == f"replicates: ValueError: non-finite {column} at replicate 7"
+    _assert_same_rows(res, clean, (16,))
 
 
 def test_fit_scaling_exponent_exact_synthetic():
