@@ -286,30 +286,19 @@ def write_table(out, header_lines, names, blocks) -> None:
 
     Integer columns are written with %d and float columns with %.16e, 17
     significant digits, so every value reads back bit for bit; NaN is an
-    empty field.  Each row is one % call, from a format cached per column
-    types and NaN pattern, _TABLE_BLOCK rows a chunk."""
-    formats_of: dict[tuple, dict[int, str]] = {}  # column types -> NaN pattern -> format
+    empty field.  Each row is one % call from the block's one format,
+    _TABLE_BLOCK rows a chunk.  %.16e prints every NaN as "nan", and no %d
+    or %.16e field of a finite or infinite value holds that string, so
+    deleting it from a formatted chunk empties exactly the NaN fields."""
     with text_sink(out) as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(names) + "\n")
         for columns in blocks:
             columns = [np.asarray(col) for col in columns]
-            kinds = tuple("%.16e" if col.dtype.kind == "f" else "%d" for col in columns)
-            formats = formats_of.setdefault(kinds, {})
-            bits = 1 << np.arange(len(columns))
+            fmt = ",".join("%.16e" if col.dtype.kind == "f" else "%d" for col in columns) + "\n"
             for start in range(0, len(columns[0]), _TABLE_BLOCK):
-                part = [col[start : start + _TABLE_BLOCK] for col in columns]
-                # bit k of a row's code is set when its column k is NaN
-                codes = np.column_stack([np.isnan(col) for col in part]) @ bits
-                lines = []
-                for code, row in zip(codes.tolist(), zip(*(col.tolist() for col in part))):
-                    fmt = formats.get(code)
-                    if fmt is None:
-                        # "%.0s" takes a NaN and prints nothing: an empty field
-                        fields = ("%.0s" if code >> k & 1 else kind for k, kind in enumerate(kinds))
-                        fmt = formats[code] = ",".join(fields) + "\n"
-                    lines.append(fmt % row)
-                fh.write("".join(lines))
+                rows = zip(*(col[start : start + _TABLE_BLOCK].tolist() for col in columns))
+                fh.write("".join(fmt % row for row in rows).replace("nan", ""))
 
 
 def write_field_csv(sample: FieldSample, out, header_lines: tuple[str, ...] = ()) -> None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from bandsphere.chaos import chaos_integrals
-from bandsphere.experiments import _ks_sorted
 from bandsphere.field import FieldSample
 from bandsphere.grid import SphereGrid, integrate_rows
-from bandsphere.specfun import FOUR_PI
+from bandsphere.specfun import FOUR_PI, gaussian_cdf
 
 
 # --- Legendre tables at one argument ----------------------------------------
@@ -136,9 +135,19 @@ def integrate(grid: SphereGrid, values: np.ndarray) -> float:
 
 # --- statistics and chaos ---------------------------------------------------
 
+def ks_sorted_full(z: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov distance of an ascending sample to the
+    standard normal CDF, with Phi at every point and the two maxima over the
+    i/r steps."""
+    r = z.size
+    cdf = gaussian_cdf(z)
+    steps = np.arange(r + 1, dtype=float) / r
+    return float(max((cdf - steps[:-1]).max(), (steps[1:] - cdf).max()))
+
+
 def ks_statistic(sample: np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov distance to the standard normal CDF."""
-    return _ks_sorted(np.sort(np.asarray(sample, dtype=float)))
+    return ks_sorted_full(np.sort(np.asarray(sample, dtype=float)))
 
 
 @dataclass(frozen=True)

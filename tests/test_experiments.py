@@ -4,6 +4,7 @@ import io
 import math
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import threading
@@ -19,7 +20,8 @@ from bandsphere.chaos import (
 )
 from bandsphere.field import band_table, make_spec, replicate_rng, sample_coefficients, synthesize
 from bandsphere.grid import build_grid
-from references import ks_statistic
+from bandsphere.specfun import gaussian_cdf
+from references import ks_sorted_full, ks_statistic
 
 
 def test_config_validation():
@@ -341,6 +343,64 @@ def test_clt_ks_statistic_matches_scipy(n):
     assert ks_statistic(z) == pytest.approx(reference, abs=1e-12)
     # both sort their own copy in place, never the caller's array
     assert np.array_equal(draws, inputs[0]) and np.array_equal(z, inputs[1])
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600])
+def test_clt_test_evaluates_the_cdf_at_few_points(n, monkeypatch):
+    # the block-pruned KS distance needs Phi at the block ends and in the few
+    # blocks that can hold the supremum, not at every point
+    draws = h2_sample_direct(make_spec(n, 0.5), replicate_rng(7, n, 0), size=100_000)
+    expected = ex.clt_test(draws)
+    evaluated = []
+
+    def counting_cdf(u):
+        evaluated.append(np.size(u))
+        return gaussian_cdf(u)
+
+    monkeypatch.setattr(ex, "gaussian_cdf", counting_cdf)
+    assert ex.clt_test(draws) == expected
+    assert sum(evaluated) <= 0.15 * draws.size
+
+
+def _quantile_sample(r):
+    # Phi(z_i) = (i + 1/2)/r: every KS term is 1/(2r), and a few moved points set D
+    normal = statistics.NormalDist()
+    return np.array([normal.inv_cdf((i + 0.5) / r) for i in range(r)])
+
+
+def _ks_samples():
+    rng = np.random.default_rng(16)
+    draws = {
+        "normal": rng.standard_normal,
+        "chi2_40": lambda r: rng.chisquare(40, r),
+        "chi2_625": lambda r: rng.chisquare(625, r),
+        "student_t3": lambda r: rng.standard_t(3, r),
+        "rounded": lambda r: np.round(rng.standard_normal(r), 1),
+    }
+    for name, draw in draws.items():
+        for r in (5, 32, 33, 100, 500, 2000, 100_000):
+            x = draw(r)
+            yield pytest.param(np.sort((x - x.mean()) / x.std(ddof=1)), None, id=f"{name}-{r}")
+    # the supremum strictly inside the first block (ranks 0..15 far left)
+    # and inside the last block (its ranks from the fifth on far right)
+    r = 2000
+    low = _quantile_sample(r)
+    low[:16] = -10.0
+    yield pytest.param(low, 15, id="sup-in-first-block")
+    high = _quantile_sample(r)
+    k = (r - 1) // ex._KS_BLOCK * ex._KS_BLOCK + 4
+    high[k:] = 10.0
+    yield pytest.param(high, k, id="sup-in-last-block")
+
+
+@pytest.mark.parametrize("z, sup_rank", _ks_samples())
+def test_ks_sorted_matches_full_evaluation_bit_for_bit(z, sup_rank):
+    if sup_rank is not None:  # the constructed supremum is where it is meant to be
+        cdf = gaussian_cdf(z)
+        i = np.arange(z.size)
+        terms = np.maximum(cdf - i / z.size, (i + 1) / z.size - cdf)
+        assert np.argmax(terms) == sup_rank and sup_rank % ex._KS_BLOCK not in (0, ex._KS_BLOCK - 1)
+    assert ex._ks_sorted(z) == ks_sorted_full(z)
 
 
 def test_runtime_imports_no_scipy():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandsphere import specfun as sf
+from bandsphere.experiments import _KS_SLACK
 from references import assoc_legendre_normalized, legendre_all
 
 
@@ -354,6 +355,21 @@ def test_gaussian_cdf_array_shapes():
     strided = x[::3, ::2]
     assert np.array_equal(sf.gaussian_cdf(strided), sf.gaussian_cdf(np.ascontiguousarray(strided)))
     assert sf.gaussian_cdf(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("grid", ["interval_edges", "dense"])
+def test_gaussian_cdf_array_path_decreases_less_than_the_ks_slack(grid):
+    # experiments._ks_sorted prunes blocks on the assumption that Phi does not
+    # fall, between ascending inputs, by more than its slack; the worst step
+    # is -1.1e-16, at the edges of the 1/32 Mills-ratio intervals
+    if grid == "interval_edges":
+        j = np.arange(-40 * 32, 40 * 32)
+        edges = np.concatenate(((j + 0.5) * sf._MILLS_STEP, [-sf._MILLS_CUT, 0.0, sf._MILLS_CUT]))
+        u = np.concatenate((np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)))
+    else:
+        u = np.linspace(-40.0, 40.0, 1_600_001)
+    steps = np.diff(sf.gaussian_cdf(np.sort(u)))
+    assert steps.min() >= -_KS_SLACK / 10
 
 
 def test_gaussian_cdf_array_symmetry():
