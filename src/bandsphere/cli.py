@@ -40,7 +40,12 @@ class UsageError(Exception):
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else ex.DEFAULT_SEED
+    if not env:
+        return ex.DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -194,13 +199,13 @@ def _physical_memory_bytes() -> float:
         return math.inf
 
 
-def _check_fits(bands, workers: int = 1, whole_field: bool = False) -> None:
+def _check_fits(bands, workers: int = 1, whole_field: bool = False, table_copies: int = 1) -> None:
     """Usage error, before anything is allocated, when the run would not fit
-    in physical memory: the band table of every (spec, grid degree) in
-    ``bands`` (the table cache keeps each until the process exits), one
-    half-spectra array of the last, largest band per synthesizing process
-    and, with ``whole_field``, that band's whole field."""
-    need = sum(band_table_bytes(spec, theta_count(degree)) for spec, degree in bands)
+    in physical memory: ``table_copies`` copies of the band table of every
+    (spec, grid degree) in ``bands`` (the table cache keeps each until the
+    process exits), one half-spectra array of the last, largest band per
+    synthesizing process and, with ``whole_field``, that band's whole field."""
+    need = table_copies * sum(band_table_bytes(spec, theta_count(degree)) for spec, degree in bands)
     spec, degree = bands[-1]
     n_theta = theta_count(degree)
     need += workers * parity_rows_bytes(spec, n_theta)
@@ -216,12 +221,17 @@ def _check_fits(bands, workers: int = 1, whole_field: bool = False) -> None:
 
 def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
     """_check_fits for every n of a field-mode sweep: one pool per sweep,
-    and every n's table is built before it forks."""
+    and every n's table is built before it starts.  Forked workers share
+    those tables; each spawned worker builds its own copy of every table.
+    The start method is asked for only when there is a pool, so a one-worker
+    run loads no pool modules."""
     if config.mode != "field_full":
         return
     bands = [(make_spec(n, config.beta, config.band_rounding), ex.grid_degree(n, config.oversample, config.q_max))
              for n in config.n_list]  # the config has checked every band
-    _check_fits(bands, ex.pool_size(config.workers))
+    workers = ex.pool_size(config.workers)
+    spawned = config.workers > 1 and ex.start_method() == "spawn"
+    _check_fits(bands, workers, table_copies=1 + workers if spawned else 1)
 
 
 # --- subcommands: each takes the resolved settings ----------------------------

@@ -14,9 +14,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -226,8 +224,21 @@ def _replicate_chunk(spec: FieldSpec, grid, u: float, q_max: int, master_seed: i
 
 
 def pool_size(workers: int) -> int:
-    """Processes that a sweep with ``workers`` runs on: at most one per CPU."""
-    return min(workers, os.cpu_count() or 1)
+    """Processes that a sweep with ``workers`` runs on: at most one per CPU
+    that this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
+def start_method() -> str:
+    """The pool's start method: fork where the platform can, so workers share
+    the band tables built before the pool, and spawn otherwise."""
+    import multiprocessing
+
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 @contextlib.contextmanager
@@ -253,14 +264,17 @@ def _run_replicates(kernels: dict, replicates: int, workers: int, errors: dict) 
     order, or an error if a chunk raised.  With workers > 1, one pool of at
     most one worker per CPU queues every n's chunks at once, largest n first,
     so the tail of the queue is cheap.  The chunks depend on ``workers``
-    only, so the output does not depend on the CPU count.  Workers fork where
-    the platform can, so they share the band tables built before the pool."""
+    only, so the output does not depend on the CPU count.  The pool modules
+    are imported here, so a one-worker run never loads them."""
     size = max(1, replicates // (workers * 8))
     bounds = [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     pool, run, data = contextlib.nullcontext(), map, {}
     if workers > 1:
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        pool = ProcessPoolExecutor(max_workers=pool_size(workers), mp_context=multiprocessing.get_context(method))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context(start_method())
+        pool = ProcessPoolExecutor(max_workers=pool_size(workers), mp_context=context)
         run = pool.map
     with pool:
         pending = {n: run(kernels[n], bounds) for n in reversed(kernels)}  # largest n first

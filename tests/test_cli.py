@@ -186,6 +186,17 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["config"]["master_seed"] == 31415
 
 
+def test_bad_seed_env_var_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BANDSPHERE_SEED", "abc")
+    out = tmp_path / "env.json"
+    argv = ["excursion", "--mode", "h2-direct", "--n", "16", "--beta", "0.5", "--replicates", "100"]
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert "error: BANDSPHERE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+    # a --seed flag is used without reading the variable
+    assert run_cli(argv + ["--seed", "7", "--out", str(out)]) == 0
+
+
 def test_bad_config_file(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 3\n")
@@ -347,6 +358,39 @@ def test_memory_preflight_counts_every_table_of_a_sweep(tmp_path, monkeypatch, c
     argv = ["scaling", "--n", "16,32,64", "--beta", "0.5", "--replicates", "100", "--workers", "1"]
     assert run_cli(argv + ["--out", str(out)]) == 2
     assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_preflight_counts_the_tables_of_spawned_workers(tmp_path, monkeypatch, capsys):
+    # forked workers share the parent's tables; each spawned worker builds
+    # its own copy of every table of the sweep
+    import multiprocessing
+
+    from bandsphere import cli, experiments, field
+
+    started = []
+
+    def no_sweep(config):
+        started.append(config)
+        raise RuntimeError("stop after the pre-flight")
+
+    monkeypatch.setattr(experiments, "run_variance_sweep", no_sweep)
+    ns, workers = (16, 32, 64), experiments.pool_size(2)
+    tables = sum(field.band_table_bytes(field.make_spec(n, 0.5), build_grid(4 * n).n_theta) for n in ns)
+    rows = field.parity_rows_bytes(field.make_spec(64, 0.5), build_grid(256).n_theta)
+    forked = tables + workers * rows
+    argv = ["scaling", "--n", "16,32,64", "--beta", "0.5", "--replicates", "100", "--workers", "2"]
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: forked)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    assert run_cli(argv + ["--out", str(out)]) == 1 and len(started) == 1  # fits when workers fork
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    for limit in (forked, forked + workers * tables - 1):
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: limit)
+        assert run_cli(argv + ["--out", str(out)]) == 2, limit
+        assert "physical memory" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: forked + workers * tables)
+    assert run_cli(argv + ["--out", str(out)]) == 1 and len(started) == 2
     assert not out.exists()
 
 

@@ -1,12 +1,15 @@
 """Experiment orchestration: reproducibility, estimator calibration, fits."""
 
+import concurrent.futures
 import io
 import math
+import multiprocessing
 import os
 import pathlib
 import statistics
 import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -63,9 +66,9 @@ def test_result_invariant_under_worker_count(monkeypatch):
     others = [ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=w)) for w in (2, 3)]
     # the same pool with spawned workers, which start from a fresh import
     methods = []
-    get_context = ex.multiprocessing.get_context
-    monkeypatch.setattr(ex.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(ex.multiprocessing, "get_context", lambda m: methods.append(m) or get_context(m))
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m: methods.append(m) or get_context(m))
     others.append(ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=2)))
     assert methods == ["spawn"]  # one pool per sweep
     for r2 in others:
@@ -81,19 +84,28 @@ def test_pool_is_bounded_by_the_cpu_count(monkeypatch):
     base = dict(n_list=(16,), beta=0.5, replicates=100, mode="field_full", master_seed=5, q_max=2)
     r1 = ex.run_variance_sweep(ex.ExperimentConfig(**base))
     sizes = []
-    pool = ex.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def spy(max_workers, **kwargs):
         sizes.append(max_workers)
         return pool(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", spy)
-    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    # without an affinity call, the CPU count bounds the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r2 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=64))
-    monkeypatch.setattr(ex.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     r3 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=3))
     assert sizes == [2, 1]
-    for r in (r2, r3):
+    # with one, the CPUs this process may run on bound it, not the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    r4 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=64))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert ex.pool_size(64) == 1
+    assert sizes == [2, 1, 2]
+    for r in (r2, r3, r4):
         assert ex.row_to_dict(r.rows[0]) == ex.row_to_dict(r1.rows[0])
         for key in ("area", "h", "h2_exact", "seed"):
             assert np.array_equal(r.replicate_data[16][key], r1.replicate_data[16][key])
@@ -202,13 +214,13 @@ def test_one_pool_per_sweep(monkeypatch):
     base = dict(n_list=(16, 24, 32), beta=0.5, replicates=100, mode="field_full", master_seed=5, q_max=2)
     r1 = ex.run_variance_sweep(ex.ExperimentConfig(**base))
     pools = []
-    pool = ex.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def spy(max_workers, **kwargs):
         pools.append(max_workers)
         return pool(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     r2 = ex.run_variance_sweep(ex.ExperimentConfig(**base, workers=2))
     assert len(pools) == 1
     _assert_same_rows(r2, r1, base["n_list"])
@@ -221,7 +233,7 @@ def test_one_pool_per_sweep(monkeypatch):
     ("replicates", "_replicate_row", 1),
     # forked workers inherit the patch; the chunk raises in a pool worker
     pytest.param("replicates", "_replicate_row", 2, marks=pytest.mark.skipif(
-        "fork" not in ex.multiprocessing.get_all_start_methods(), reason="needs fork")),
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")),
     ("statistics", "h2_variance_formula", 1),
 ])
 def test_row_error_names_the_phase(monkeypatch, phase, target, workers):
@@ -414,6 +426,35 @@ def test_runtime_imports_no_scipy():
         "assert specfun.gaussian_cdf(z).shape == z.shape\n"
         "experiments.clt_test(z)\n"
     )
+    src = str(pathlib.Path(bandsphere.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_one_process_runs_load_no_pool_modules(tmp_path):
+    # covariance, h2-direct and a one-worker field run stay in one process and
+    # load no pool modules; a two-worker sweep builds one pool and leaves no
+    # process running
+    code = textwrap.dedent(f"""
+        import sys
+        import bandsphere, bandsphere.cli
+        from bandsphere import experiments as ex
+        band = ["--beta", "0.5", "--seed", "42"]
+        for argv in (["covariance", "--n", "64", "--points", "50"],
+                     ["excursion", "--mode", "h2-direct", "--n", "100", "--replicates", "1000"],
+                     ["excursion", "--n", "16", "--replicates", "100", "--q-max", "2", "--workers", "1"]):
+            assert bandsphere.cli.main(argv + band + ["--out", {str(tmp_path / "out")!r}]) == 0, argv
+            assert "multiprocessing" not in sys.modules and "concurrent.futures" not in sys.modules, argv
+        import concurrent.futures, multiprocessing
+        pools, pool = [], concurrent.futures.ProcessPoolExecutor
+        concurrent.futures.ProcessPoolExecutor = lambda **kwargs: pools.append(kwargs) or pool(**kwargs)
+        config = ex.ExperimentConfig(n_list=(16, 24), beta=0.5, replicates=100, workers=2, q_max=2)
+        assert all(row.error is None for row in ex.run_variance_sweep(config).rows)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+    """)
     src = str(pathlib.Path(bandsphere.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
