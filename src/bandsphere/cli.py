@@ -28,7 +28,9 @@ from .field import (
     write_field_csv,
 )
 from .grid import build_grid, fft_length, theta_count
-from .specfun import FOUR_PI, gaussian_cdf
+# no subcommand computes a target (experiments does); gaussian_cdf stays an
+# attribute of this module because the benchmark's layer tracer wraps it here
+from .specfun import gaussian_cdf  # noqa: F401
 
 SEED_ENV_VAR = "BANDSPHERE_SEED"
 SLOPE_TOLERANCE = 0.15
@@ -83,8 +85,9 @@ _FLAGS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _read_config_file(args: argparse.Namespace) -> dict:
+    """The --config file's settings; on a sweep over n, n means n_list, as --n does."""
+    path, values = args.config, {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -93,17 +96,18 @@ def _read_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, val = line.partition("=")
-                key = key.strip().replace("-", "_")
+                name, _, val = line.partition("=")
+                name = name.strip().replace("-", "_")
+                key = "n_list" if name == "n" and "n_list" in _SUBCOMMANDS[args.command][2] else name
                 if key not in _FLAGS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                    raise UsageError(f"{path}:{lineno}: unknown key {name!r}")
                 kind, _, choices = _FLAGS[key]
                 try:
                     values[key] = kind(val.strip())
                     if choices is not None and values[key] not in choices:
                         raise ValueError(f"invalid choice: {values[key]!r} (choose from {', '.join(map(repr, choices))})")
                 except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
+                    raise UsageError(f"{path}:{lineno}: bad value for {name}: {exc}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     return values
@@ -111,8 +115,8 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge CLI flags over config-file values over defaults, and check that
-    the band is given."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    the band is given and the seed is non-negative."""
+    file_values = _read_config_file(args) if args.config else {}
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -124,6 +128,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             resolved[key] = default
     if resolved["seed"] is None:
         resolved["seed"] = _default_seed()
+    if resolved["seed"] < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {resolved['seed']}")
     if resolved.get("n", resolved.get("n_list")) is None or resolved["beta"] is None:
         raise UsageError(f"{args.command} requires --n and --beta")
     return resolved
@@ -181,12 +187,11 @@ def _config_payload(r: dict) -> dict:
 
 
 def _report_payload(resolved: dict, result: ex.ExperimentResult, flags: dict) -> dict:
-    body = ex.result_to_dict(result)
     return {
         "config": _config_payload(resolved),
-        "rows": body["rows"],
-        "fitted_exponent": body["fitted_exponent"],
-        "exponent_ci": body["exponent_ci"],
+        "rows": [ex.row_to_dict(row) for row in result.rows],
+        "fitted_exponent": result.fitted_exponent,
+        "exponent_ci": result.exponent_ci,
         "flags": flags,
         "pass": all(flags.values()) if flags else True,
     }
@@ -268,10 +273,9 @@ def cmd_excursion(r: dict) -> int:
     if row.error is not None:
         sys.stderr.write(f"excursion failed: {row.error}\n")
         return 1
-    flags = {"var_h2_ok": ex.within_3se(row.var_h2_hat, row.var_h2_exact_formula, row.var_h2_se)}
-    if r["mode"] == "field_full":
-        target = FOUR_PI * (1.0 - gaussian_cdf(r["u"]))
-        flags["mean_area_ok"] = ex.within_3se(row.mean_s_hat, target, row.mean_s_se)
+    # a named subset of the row's targets: an entry added later is no flag by itself
+    flags = {f"{name}_ok": ex.within_3se(row.targets[name])
+             for name in ("var_h2", "mean_area") if name in row.targets}
     if r["format"] == "csv":
         header = _header_lines(r) + tuple(f"flag {k} = {v}" for k, v in sorted(flags.items()))
         ex.write_replicate_csv(result, r["n"], r["out"] or sys.stdout, header_lines=header)

@@ -200,7 +200,7 @@ def _on_window(values, spec: FieldSpec, x: np.ndarray, mask: np.ndarray) -> np.n
     return out
 
 
-def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1, c: float = 1.0) -> CovarianceProfile:
+def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1) -> CovarianceProfile:
     psi = np.atleast_1d(np.asarray(psi_grid, dtype=float))
     if np.any(psi > theta_to_psi(spec, math.pi)):
         raise ValueError("psi must lie in [0, alpha*n*pi]")
@@ -215,7 +215,7 @@ def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1, c: float = 1.0) -> 
         theta=theta,
         exact=exact,
         cd=gamma_cd(spec, theta),
-        hilb=_on_window(_hilb_values, spec, theta, _hilb_window(spec, theta, epsilon, c)),
+        hilb=_on_window(_hilb_values, spec, theta, _hilb_window(spec, theta, epsilon, 1.0)),
         lemma1_r1=_on_window(_gamma1_values, spec, psi, first),
         lemma1_r2=_on_window(_gamma2_values, spec, psi, second),
     )

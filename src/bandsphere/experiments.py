@@ -26,7 +26,7 @@ from .grid import build_grid
 # module because the benchmark's layer tracer wraps them here
 from .chaos import chaos_integrals, excursion_area  # noqa: F401
 from .field import synthesize  # noqa: F401
-from .specfun import gaussian_cdf, gaussian_pdf, jq_coefficient
+from .specfun import FOUR_PI, gaussian_cdf, gaussian_pdf, jq_coefficient
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("oversample must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.master_seed < 0:  # SeedSequence takes non-negative integers only
+            raise ValueError(f"seed must be a non-negative integer, got {self.master_seed}")
         for n in self.n_list:  # a bad band is a config error, not a failed row
             make_spec(n, self.beta, self.band_rounding)
 
@@ -96,6 +98,7 @@ class SweepRow:
     var_hq: dict[int, float] = field(default_factory=dict)
     var_hq_se: dict[int, float] = field(default_factory=dict)
     chaos_ratios: dict[int, float] = field(default_factory=dict)
+    targets: dict[str, dict[str, float]] = field(default_factory=dict)  # name -> estimate, se, target, z
     error: str | None = None
 
 
@@ -141,10 +144,18 @@ def _ks_sorted(z: np.ndarray) -> float:
     return max(lower, _ks_terms(gaussian_cdf(z[ranks]), ranks, r))
 
 
-def within_3se(estimate: float, target: float, se: float) -> bool:
-    """The agreement flag of every report: the estimate lies within three
-    standard errors of its exact target."""
-    return abs(estimate - target) <= 3.0 * se
+def _target(estimate: float, se: float, target: float) -> dict[str, float]:
+    """A row's target entry; z = (estimate - target) / se is NaN or +-inf,
+    never an exception, when se is 0."""
+    diff = estimate - target
+    z = diff / se if se else (math.copysign(math.inf, diff) if diff else math.nan)
+    return {"estimate": estimate, "se": se, "target": target, "z": z}
+
+
+def within_3se(entry: dict[str, float]) -> bool:
+    """The agreement flag of every report: a target entry's estimate lies
+    within three standard errors of its exact target."""
+    return abs(entry["estimate"] - entry["target"]) <= 3.0 * entry["se"]
 
 
 def ks_critical_one_sample(r: int) -> float:
@@ -305,7 +316,8 @@ def _sweep_row(config: ExperimentConfig, spec: FieldSpec, data: dict) -> SweepRo
     chi-square draws of h2.  Every statistic of the row is computed from the
     arrays present, and every standard error in closed form: the exact one
     for Var(h2), the moment one for the other variances, s/sqrt(r) for the
-    mean.
+    mean.  The row's targets hold Var(h2) against 2 (4 pi)^2 / D and, in
+    field mode, the mean area against 4 pi (1 - Phi(u)).
     """
     areas = data.get("area")
     h2x = data["h2_exact"]
@@ -317,6 +329,7 @@ def _sweep_row(config: ExperimentConfig, spec: FieldSpec, data: dict) -> SweepRo
         "var_h2_hat": float(h2x.var(ddof=1)),
         "var_h2_se": var_h2 * math.sqrt(2.0 / (r - 1) + 12.0 / (spec.dof * r)),
     }
+    targets = {"var_h2": _target(stats["var_h2_hat"], stats["var_h2_se"], var_h2)}
     if areas is not None:
         h = data["h"]
         var_s = float(areas.var(ddof=1))
@@ -331,6 +344,8 @@ def _sweep_row(config: ExperimentConfig, spec: FieldSpec, data: dict) -> SweepRo
             chaos_ratios={q: chaos_weight(q, config.u) * v / var_s
                           for q, v in {2: stats["var_h2_hat"], **var_hq}.items()} if var_s > 0 else {2: math.nan},
         )
+        mean_area = FOUR_PI * (1.0 - gaussian_cdf(config.u))
+        targets["mean_area"] = _target(stats["mean_s_hat"], stats["mean_s_se"], mean_area)
     clt_sample = h2x if areas is None else areas
     ks_stat, ks_pass = clt_test(clt_sample) if clt_sample.size >= CLT_MIN_SAMPLES else (None, None)
     return SweepRow(
@@ -340,6 +355,7 @@ def _sweep_row(config: ExperimentConfig, spec: FieldSpec, data: dict) -> SweepRo
         var_h2_exact_formula=var_h2,
         clt_ks_stat=ks_stat,
         clt_pass=ks_pass,
+        targets=targets,
         **stats,
     )
 
@@ -490,9 +506,8 @@ def chaos_dominance_report(config: ExperimentConfig) -> ChaosDominanceReport:
     for row in result.rows:
         if row.error is not None:
             continue
-        norm = row.var_h2_hat / row.var_h2_exact_formula
-        h2_norm[row.n] = norm
-        h2_ok &= within_3se(norm, 1.0, row.var_h2_se / row.var_h2_exact_formula)
+        h2_norm[row.n] = row.var_h2_hat / row.var_h2_exact_formula
+        h2_ok &= within_3se(row.targets["var_h2"])
         q3s[row.n] = row.var_hq[3] * row.n**2
         q4s[row.n] = row.var_hq[4] * row.n**2 / math.log(row.n)
         ratio[row.n] = row.var_hq[3] / row.var_h2_hat
@@ -545,10 +560,3 @@ def write_replicate_csv(result: ExperimentResult, n: int, out, header_lines: tup
 
 def row_to_dict(row: SweepRow) -> dict:
     return asdict(row)
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """The result without its replicate arrays."""
-    body = asdict(replace(result, replicate_data={}))
-    del body["replicate_data"]
-    return body

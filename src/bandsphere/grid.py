@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def gauss_legendre_nodes(n: int, tol: float = 1e-14, max_iter: int = 100):
+def gauss_legendre_nodes(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton iteration on P_n starting from Chebyshev-type initial guesses;
-    raises RuntimeError if any node fails to converge to ``tol``.
+    raises RuntimeError if any step still exceeds 1e-14 after 100 iterations.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
@@ -34,14 +34,14 @@ def gauss_legendre_nodes(n: int, tol: float = 1e-14, max_iter: int = 100):
         dp = n * (p_prev - x * p_cur) / (1.0 - x * x)
         return p_cur, dp
 
-    for _ in range(max_iter):
+    for _ in range(100):
         p_cur, dp = eval_pn(x)
         dx = p_cur / dp
         x = x - dx
-        if np.abs(dx).max() <= tol:
+        if np.abs(dx).max() <= 1e-14:
             break
     else:
-        raise RuntimeError(f"Gauss-Legendre Newton iteration failed to reach {tol} for n={n}")
+        raise RuntimeError(f"Gauss-Legendre Newton iteration failed to reach 1e-14 for n={n}")
     _, dp = eval_pn(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return x, w

@@ -406,3 +406,95 @@ def test_memory_preflight_passes_fitting_and_direct_runs(tmp_path, monkeypatch):
     rc = run_cli(["excursion", "--mode", "h2-direct", "--n", "100", "--beta", "0.5",
                   "--replicates", "20000", "--seed", "42", "--out", str(tmp_path / "e.json")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("argv", [
+    ["covariance", "--n", "64", "--beta", "0.5", "--points", "20"],
+    ["simulate", "--n", "12", "--beta", "0.5"],
+    ["excursion", "--n", "16", "--beta", "0.5", "--replicates", "100"],
+    ["clt", "--n", "16", "--beta", "0.5", "--replicates", "500"],
+    ["scaling", "--n", "16,24,32", "--beta", "0.5", "--replicates", "100"],
+    ["chaos", "--n", "16,24", "--beta", "0.5", "--replicates", "100"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, source):
+    # SeedSequence takes non-negative integers only; a negative seed fails
+    # before anything runs, from wherever it comes
+    monkeypatch.delenv("BANDSPHERE_SEED", raising=False)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    if source == "flag":
+        argv = argv + ["--seed", "-1"]
+    elif source == "config":
+        argv = argv + ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("BANDSPHERE_SEED", "-1")
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scaling", "chaos"])
+def test_config_file_n_on_a_sweep_is_its_n_list(tmp_path, command):
+    # in a config file, n means what --n means for the subcommand; n_list still works
+    argv = [command, "--beta", "0.5", "--replicates", "100", "--seed", "4"]
+    flag = tmp_path / "flag.json"
+    assert run_cli(argv + ["--n", "16,24,32", "--out", str(flag)]) in (0, 1)
+    for key in ("n", "n_list"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = 16,24,32\n")
+        out = tmp_path / f"{key}.json"
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) in (0, 1)
+        assert out.read_bytes() == flag.read_bytes(), key
+
+
+def test_excursion_flags_are_the_3se_rule_over_the_row_targets(tmp_path):
+    from bandsphere import experiments as ex
+
+    argv = ["excursion", "--n", "16", "--beta", "0.5", "--replicates", "120", "--seed", "5"]
+    out, csv = tmp_path / "exc.json", tmp_path / "exc.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert run_cli(argv + ["--format", "csv", "--out", str(csv)]) == 1
+    payload = json.loads(out.read_text())
+    targets = payload["rows"][0]["targets"]
+    assert list(targets) == ["var_h2", "mean_area"]
+    assert targets["var_h2"]["z"] == 3.756815919124871  # Var(h2) sits 3.76 SE above 2 (4 pi)^2 / D
+    assert payload["flags"] == {f"{name}_ok": ex.within_3se(entry) for name, entry in targets.items()}
+    assert payload["flags"] == {"var_h2_ok": False, "mean_area_ok": True}
+    header = [line for line in csv.read_text().splitlines() if line.startswith("# flag ")]
+    assert header == [f"# flag {k} = {v}" for k, v in sorted(payload["flags"].items())]
+
+
+def test_excursion_computes_no_target_in_the_cli(tmp_path, monkeypatch):
+    from bandsphere import cli
+
+    argv = ["excursion", "--n", "16", "--beta", "0.5", "--replicates", "120", "--seed", "5"]
+    before = tmp_path / "before.json"
+    run_cli(argv + ["--out", str(before)])
+
+    def no_target(u):
+        raise AssertionError("the CLI must not compute a target")
+
+    monkeypatch.setattr(cli, "gaussian_cdf", no_target)
+    after = tmp_path / "after.json"
+    assert run_cli(argv + ["--out", str(after)]) == 1
+    assert after.read_bytes() == before.read_bytes()
+
+
+@pytest.mark.parametrize("u, z, rc", [("40", "NaN", 0), ("-40", "-Infinity", 1)])
+def test_excursion_zero_se_targets(tmp_path, u, z, rc):
+    # at |u| = 40 every replicate's area is 0 or 4 pi, so the mean area's SE is
+    # 0: z is NaN for 0/0 and -inf for the 3-ulp quadrature shortfall at u = -40
+    out = tmp_path / "exc.json"
+    argv = ["excursion", "--n", "16", "--beta", "0.5", "--u", u, "--replicates", "100", "--seed", "3"]
+    assert run_cli(argv + ["--out", str(out)]) == rc
+    text = out.read_text()
+    assert f'"z": {z}' in text
+    payload = json.loads(text)
+    entry = payload["rows"][0]["targets"]["mean_area"]
+    assert entry["se"] == 0.0
+    assert payload["flags"] == {"var_h2_ok": True, "mean_area_ok": rc == 0}
+    if u == "-40":
+        assert (entry["estimate"], entry["target"]) == (12.566370614359169, 4.0 * math.pi)

@@ -42,6 +42,35 @@ def test_config_validation():
         ex.ExperimentConfig(n_list=(64,), beta=0.5, q_max=1)
 
 
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        ex.ExperimentConfig(n_list=(16,), beta=0.5, master_seed=-1)
+    assert ex.ExperimentConfig(n_list=(16,), beta=0.5, master_seed=0).master_seed == 0
+
+
+@pytest.mark.parametrize("mode", ex.MODES)
+def test_row_targets_hold_the_exact_identities(mode):
+    cfg = ex.ExperimentConfig(n_list=(16,), beta=0.5, u=0.75, replicates=150, mode=mode, master_seed=4)
+    row = ex.run_variance_sweep(cfg).rows[0]
+    expected = {"var_h2": (row.var_h2_hat, row.var_h2_se, h2_variance_formula(make_spec(16, 0.5)))}
+    if mode == "field_full":
+        expected["mean_area"] = (row.mean_s_hat, row.mean_s_se, 4.0 * math.pi * (1.0 - gaussian_cdf(0.75)))
+    assert list(row.targets) == list(expected)  # var_h2 first, as the flags are ordered
+    for name, (estimate, se, target) in expected.items():
+        entry = row.targets[name]
+        assert (entry["estimate"], entry["se"], entry["target"]) == (estimate, se, target)
+        assert entry["z"] == (estimate - target) / se
+        assert ex.within_3se(entry) == (abs(estimate - target) <= 3.0 * se)
+
+
+@pytest.mark.parametrize("estimate, target, z", [(1.0, 1.0, math.nan), (1.0, 2.0, -math.inf), (2.0, 1.0, math.inf)])
+def test_target_z_at_zero_se_never_raises(estimate, target, z):
+    entry = ex._target(estimate, 0.0, target)
+    assert entry["z"] == z or (math.isnan(z) and math.isnan(entry["z"]))
+    # the rule compares |estimate - target| with 3 se, not |z| with 3
+    assert ex.within_3se(entry) == (estimate == target)
+
+
 def test_direct_mode_variance_matches_formula():
     cfg = ex.ExperimentConfig(n_list=(100,), beta=0.5, replicates=20_000, mode="h2_direct", master_seed=42)
     row = ex.run_variance_sweep(cfg).rows[0]
@@ -115,7 +144,8 @@ def test_rerun_is_bit_identical():
     cfg = ex.ExperimentConfig(n_list=(16,), beta=0.5, replicates=120, mode="field_full", master_seed=77)
     r1 = ex.run_variance_sweep(cfg)
     r2 = ex.run_variance_sweep(cfg)
-    assert ex.result_to_dict(r1) == ex.result_to_dict(r2)
+    assert [ex.row_to_dict(row) for row in r1.rows] == [ex.row_to_dict(row) for row in r2.rows]
+    assert (r1.config, r1.fitted_exponent, r1.exponent_ci) == (r2.config, r2.fitted_exponent, r2.exponent_ci)
 
 
 def test_se_scales_with_replicates():
@@ -480,6 +510,14 @@ def test_chaos_dominance_report_small():
         assert rep.rows[[r.n for r in rep.rows].index(n)].var_h2_exact_formula == pytest.approx(
             h2_variance_formula(spec), rel=1e-12
         )
+
+
+def test_chaos_report_judges_h2_by_the_row_targets():
+    cfg = ex.ExperimentConfig(n_list=(16, 24), beta=0.5, replicates=150, master_seed=6, q_max=4)
+    rep = ex.chaos_dominance_report(cfg)
+    assert rep.flags["h2_identity_ok"] == all(ex.within_3se(row.targets["var_h2"]) for row in rep.rows)
+    for row in rep.rows:
+        assert rep.h2_normalized[row.n] == row.var_h2_hat / row.var_h2_exact_formula
 
 
 def test_replicate_csv_schema(tmp_path):
