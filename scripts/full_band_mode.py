@@ -4,12 +4,12 @@ q, which should stay of comparable size for every q in this regime, unlike the
 band-limited case where q = 2 dominates.
 
 Every column is the exact Var(h_q) = q! 8 pi^2 int Gamma(t)^q dt from
-chaos_variance_prediction, so the table is deterministic.
+chaos.chaos_variance, so the table is deterministic.
 """
 
 import argparse
 
-from bandsphere.experiments import chaos_variance_prediction
+from bandsphere.chaos import chaos_variance
 from bandsphere.field import full_band_spec
 
 
@@ -22,8 +22,7 @@ def main(argv=None):
     print(f"{'n':>5} {'D':>7} " + " ".join(f"Var(h{q})*n^2" for q in range(2, args.q_max + 1)))
     for n in args.n:
         spec = full_band_spec(n)
-        pred = chaos_variance_prediction(spec, 1.0, args.q_max)
-        scaled = [row.var_hq * n**2 for row in pred.rows]
+        scaled = [chaos_variance(spec, q) * n**2 for q in range(2, args.q_max + 1)]
         print(f"{n:>5} {spec.dof:>7} " + " ".join(f"{v:12.4f}" for v in scaled))
 
 

@@ -24,12 +24,10 @@ from .covariance import (
     theta_to_psi,
 )
 from .experiments import (
-    ChaosVariancePrediction,
     ExperimentConfig,
     ExperimentResult,
     SweepRow,
     chaos_dominance_report,
-    chaos_variance_prediction,
     clt_test,
     dof_scaling_exponent,
     fit_scaling_exponent,

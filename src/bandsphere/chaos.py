@@ -34,12 +34,14 @@ class ExcursionResult:
 
 @functools.cache  # every replicate's reduce_blocks reads it
 def _hermite_power_coefficients(q_max: int) -> np.ndarray:
-    """c[q, k] with H_q(t) = sum_k c[q, k] t^k (probabilists' Hermite), read-only."""
-    from numpy.polynomial.hermite_e import herme2poly  # on first use, as in specfun.hermite_all
-
+    """c[q, k] with H_q(t) = sum_k c[q, k] t^k (probabilists' Hermite), read-only:
+    specfun.hermite_all's recurrence on coefficient rows, exact integers to q_max = 28."""
     c = np.zeros((q_max + 1, q_max + 1))
-    for q in range(q_max + 1):
-        c[q, : q + 1] = herme2poly(np.eye(q + 1)[q])
+    c[0, 0] = 1.0
+    for q in range(1, q_max + 1):
+        c[q, 1:] = c[q - 1, :-1]  # t H_{q-1}
+        if q >= 2:
+            c[q] -= (q - 1) * c[q - 2]
     c.flags.writeable = False
     return c
 

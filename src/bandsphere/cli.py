@@ -86,8 +86,9 @@ _FLAGS = {
 
 
 def _read_config_file(args: argparse.Namespace) -> dict:
-    """The --config file's settings; on a sweep over n, n means n_list, as --n does."""
-    path, values = args.config, {}
+    """The --config file's settings, each one the subcommand takes; on a sweep
+    over n, n means n_list, as --n does."""
+    path, values, settings = args.config, {}, _SUBCOMMANDS[args.command][2]
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -98,9 +99,9 @@ def _read_config_file(args: argparse.Namespace) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 name, _, val = line.partition("=")
                 name = name.strip().replace("-", "_")
-                key = "n_list" if name == "n" and "n_list" in _SUBCOMMANDS[args.command][2] else name
-                if key not in _FLAGS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {name!r}")
+                key = "n_list" if name == "n" and "n_list" in settings else name
+                if key not in settings:
+                    raise UsageError(f"{path}:{lineno}: {args.command} takes no key {name!r}")
                 kind, _, choices = _FLAGS[key]
                 try:
                     values[key] = kind(val.strip())
@@ -257,8 +258,8 @@ def cmd_covariance(r: dict) -> int:
 
 
 def cmd_simulate(r: dict) -> int:
-    if r["oversample"] < 1.0:
-        raise UsageError("oversample must be >= 1")
+    if not 1.0 <= r["oversample"] < math.inf:  # ExperimentConfig's rule
+        raise UsageError(f"oversample must be finite and >= 1, got {r['oversample']}")
     spec = _make_spec(r)
     degree = ex.grid_degree(spec.n, r["oversample"])
     _check_fits([(spec, degree)], whole_field=True)
@@ -327,10 +328,11 @@ def cmd_chaos(r: dict) -> int:
     payload = {
         "config": _config_payload(r),
         "rows": [ex.row_to_dict(row) for row in report.rows],
-        "h2_normalized": {str(k): v for k, v in sorted(report.h2_normalized.items())},
-        "q3_scaled": {str(k): v for k, v in sorted(report.q3_scaled.items())},
-        "q4_scaled": {str(k): v for k, v in sorted(report.q4_scaled.items())},
-        "h3_h2_ratio": {str(k): v for k, v in sorted(report.h3_h2_ratio.items())},
+        # keyed by ascending int n, which json writes as the same strings
+        "h2_normalized": report.h2_normalized,
+        "q3_scaled": report.q3_scaled,
+        "q4_scaled": report.q4_scaled,
+        "h3_h2_ratio": report.h3_h2_ratio,
         "flags": report.flags,
         "pass": all(report.flags.values()),
     }

@@ -52,7 +52,7 @@ def gamma_at_cos(spec: FieldSpec, x) -> np.ndarray:
 def gamma_exact(spec: FieldSpec, theta) -> np.ndarray | float:
     """Covariance at geodesic angle theta: the band-limited Legendre sum
     sum_{l=ell_min}^{n} (2l+1) P_l(cos theta) / D (gamma_at_cos)."""
-    scalar = np.isscalar(theta)
+    scalar = np.ndim(theta) == 0
     th = _check_theta(theta)
     out = gamma_at_cos(spec, np.cos(th))
     return float(out[0]) if scalar else out
@@ -62,7 +62,7 @@ def gamma_cd(spec: FieldSpec, theta) -> np.ndarray | float:
     """Covariance via the Christoffel-Darboux two-term closed form:
     [ (n+1) P_n^{(1,0)}(cos theta) - ell_min P_{ell_min-1}^{(1,0)}(cos theta) ] / D.
     """
-    scalar = np.isscalar(theta)
+    scalar = np.ndim(theta) == 0
     th = _check_theta(theta)
     x = np.cos(th)
     if spec.ell_min >= 1:
@@ -89,7 +89,7 @@ def _hilb_window(spec: FieldSpec, theta: np.ndarray, epsilon: float, c: float) -
 def gamma_hilb(spec: FieldSpec, theta, epsilon: float = 0.1, c: float = 1.0) -> np.ndarray | float:
     """Hilb-type Bessel approximation of the covariance, dropping the Jacobi
     remainder terms.  Valid on c/(alpha n) <= theta <= pi - epsilon."""
-    scalar = np.isscalar(theta)
+    scalar = np.ndim(theta) == 0
     th = _check_theta(theta)
     if not np.all(_hilb_window(spec, th, epsilon, c)):
         raise ValueError(f"gamma_hilb valid only on [{c / (spec.alpha * spec.n):.3g}, {math.pi - epsilon:.3g}]")
@@ -154,7 +154,7 @@ def gamma_lemma1(spec: FieldSpec, psi, epsilon: float = 0.1) -> np.ndarray | flo
     """Leading rescaled approximant: regime-1 form for psi < n^beta, regime-2
     form for psi >= n^beta, error terms dropped.  No continuity is claimed at
     the regime boundary."""
-    scalar = np.isscalar(psi)
+    scalar = np.ndim(psi) == 0
     ps = np.atleast_1d(np.asarray(psi, dtype=float))
     first, second = _lemma1_regimes(spec, ps, epsilon)
     if not np.all(first | second):
@@ -167,7 +167,7 @@ def gamma_lemma1(spec: FieldSpec, psi, epsilon: float = 0.1) -> np.ndarray | flo
 def lemma1_regime2_envelope(spec: FieldSpec, psi) -> np.ndarray | float:
     """Tight oscillation envelope of the regime-2 approximant (sines replaced
     by 1)."""
-    scalar = np.isscalar(psi)
+    scalar = np.ndim(psi) == 0
     ps = np.atleast_1d(np.asarray(psi, dtype=float))
     an = spec.alpha * spec.n
     out = _lemma1_prefactor(spec, ps) * (an / np.sqrt(ps)) * math.sqrt(2.0 / math.pi) * 2.0

@@ -19,14 +19,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .chaos import chaos_variance, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, reduce_blocks
+from .chaos import h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, reduce_blocks
 from .field import FieldSpec, band_table, field_blocks, make_spec, replicate_rng, sample_coefficients, write_table
 from .grid import build_grid
 # no sweep calls these whole-field functions; they stay attributes of this
 # module because the benchmark's layer tracer wraps them here
 from .chaos import chaos_integrals, excursion_area  # noqa: F401
 from .field import synthesize  # noqa: F401
-from .specfun import FOUR_PI, gaussian_cdf, gaussian_pdf, jq_coefficient
+from .specfun import FOUR_PI, gaussian_cdf, jq_coefficient
 
 # Asymptotic two-sided Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
@@ -71,8 +71,10 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.q_max < 2:
             raise ValueError("q_max must be >= 2")
-        if self.oversample < 1.0:
-            raise ValueError("oversample must be >= 1")
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u}")
+        if not 1.0 <= self.oversample < math.inf:  # NaN fails too
+            raise ValueError(f"oversample must be finite and >= 1, got {self.oversample}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.master_seed < 0:  # SeedSequence takes non-negative integers only
@@ -447,39 +449,7 @@ def dof_scaling_exponent(n_list, beta: float, band_rounding: str = "ceil") -> fl
 
 
 @dataclass(frozen=True)
-class ChaosVarianceRow:
-    q: int
-    weight: float          # J_q(u)^2 / q!^2
-    var_hq: float          # exact Var(h_q)
-    contribution: float    # weight * var_hq
-
-
-@dataclass(frozen=True)
-class ChaosVariancePrediction:
-    spec: FieldSpec
-    u: float
-    leading_term: float    # u^2 phi(u)^2 / 4 * 2 (4 pi)^2 / D
-    rows: tuple[ChaosVarianceRow, ...]
-
-
-def chaos_variance_prediction(spec: FieldSpec, u: float, q_max: int) -> ChaosVariancePrediction:
-    """Predicted per-chaos contributions J_q(u)^2/q!^2 Var(h_q) to Var(area)
-    for q = 2..q_max, each from the exact chaos_variance.  The leading term
-    is u^2 phi(u)^2/4 * 2 (4 pi)^2 / D.
-    """
-    if q_max < 2:
-        raise ValueError(f"q_max must be >= 2, got {q_max}")
-    rows = []
-    for q in range(2, q_max + 1):
-        w, v = chaos_weight(q, u), chaos_variance(spec, q)
-        rows.append(ChaosVarianceRow(q=q, weight=w, var_hq=v, contribution=w * v))
-    leading = (u * float(gaussian_pdf(u))) ** 2 / 4.0 * h2_variance_formula(spec)
-    return ChaosVariancePrediction(spec=spec, u=u, leading_term=leading, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
 class ChaosDominanceReport:
-    config: ExperimentConfig
     rows: tuple[SweepRow, ...]
     h2_normalized: dict[int, float]      # n -> Var_hat(h2) * D / (2 (4 pi)^2)
     q3_scaled: dict[int, float]          # n -> Var_hat(h3) * n^2
@@ -528,7 +498,6 @@ def chaos_dominance_report(config: ExperimentConfig) -> ChaosDominanceReport:
         "h3_h2_decay_ok": decay_ok,
     }
     return ChaosDominanceReport(
-        config=config,
         rows=result.rows,
         h2_normalized=h2_norm,
         q3_scaled=q3s,

@@ -35,7 +35,7 @@ def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.n
     """
     if ell_min < 0 or ell_max < ell_min:
         raise ValueError(f"need 0 <= ell_min <= ell_max, got [{ell_min}, {ell_max}]")
-    scalar = np.isscalar(x)
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("Legendre argument must lie in [-1, 1]")
@@ -134,7 +134,7 @@ def jacobi_p10(n, x: np.ndarray | float) -> np.ndarray | float:
     degrees = np.atleast_1d(np.asarray(n, dtype=int))
     if degrees.min() < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    scalar = np.isscalar(x)
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("Jacobi argument must lie in [-1, 1]")
@@ -227,7 +227,7 @@ def bessel_j1(x: np.ndarray | float) -> np.ndarray | float:
     above; absolute error stays below ~2e-12 everywhere and below 1e-13 away
     from the crossover region.
     """
-    scalar = np.isscalar(x)
+    scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0):
         raise ValueError("bessel_j1 requires x >= 0")
@@ -242,13 +242,16 @@ def bessel_j1(x: np.ndarray | float) -> np.ndarray | float:
 
 def hermite_all(q_max: int, t: np.ndarray | float) -> np.ndarray:
     """Probabilists' Hermite polynomials H_0..H_q_max at t (scalar or array),
-    shape (q_max + 1,) + shape(t): numpy's hermevander, which runs
-    H_0 = 1, H_1 = t, H_k = t H_{k-1} - (k-1) H_{k-2}."""
-    # on first use: only runs that evaluate H_q load numpy.polynomial (1 MB, 4 ms)
-    from numpy.polynomial.hermite_e import hermevander
-
+    shape (q_max + 1,) + shape(t), by H_0 = 1, H_1 = t and
+    H_k = t H_{k-1} - (k-1) H_{k-2}."""
     t = np.asarray(t, dtype=float)
-    return np.moveaxis(hermevander(t.ravel(), q_max), -1, 0).reshape((q_max + 1,) + t.shape)
+    h = np.empty((q_max + 1,) + t.shape)
+    h[0] = 1.0
+    if q_max >= 1:
+        h[1] = t
+    for k in range(2, q_max + 1):
+        h[k] = h[k - 1] * t - (k - 1) * h[k - 2]
+    return h
 
 
 def gaussian_pdf(u: np.ndarray | float) -> np.ndarray | float:

@@ -159,20 +159,21 @@ def test_functional_orthogonality(small_batch):
 
 
 def test_chaos_variance_prediction_leading_term():
+    # the q = 2 term of the prediction chaos_weight(q, u) * chaos_variance(spec, q)
+    # is the leading term u^2 phi(u)^2 / 4 * 2 (4 pi)^2 / D
     spec = fm.make_spec(100, 0.5)
-    pred = ex.chaos_variance_prediction(spec, 1.0, q_max=2)
+    leading = ex.chaos_weight(2, 1.0) * ch.h2_variance_formula(spec)
     phi1 = 0.24197072451914337
     expected = phi1**2 / 4.0 * 2.0 * FOUR_PI**2 / 1176
-    assert pred.leading_term == pytest.approx(expected, rel=1e-12)
+    assert leading == pytest.approx(expected, rel=1e-12)
     # leading coefficient scaled by D reproduces 32 pi^2 u^2 phi(1)^2 / 4 = 4.6229
-    assert pred.leading_term * spec.dof == pytest.approx(4.622909399163687, rel=1e-12)
-    assert pred.rows[0].q == 2
+    assert leading * spec.dof == pytest.approx(4.622909399163687, rel=1e-12)
+    assert ex.chaos_weight(2, 1.0) * ch.chaos_variance(spec, 2) == pytest.approx(leading, rel=1e-12)
 
 
 def test_chaos_variance_prediction_vanishes_at_zero_threshold():
     spec = fm.make_spec(64, 0.5)
-    pred = ex.chaos_variance_prediction(spec, 0.0, q_max=2)
-    assert pred.leading_term == 0.0
+    assert ex.chaos_weight(2, 0.0) * ch.h2_variance_formula(spec) == 0.0
     assert jq_coefficient(2, 0.0) == 0.0
 
 
@@ -185,9 +186,9 @@ def _sweep_row_n64_q6():
 
 def test_partial_sum_accounts_for_variance():
     # sum over q = 2..6 of J_q^2/q!^2 Var(h_q), exact, captures >= 95% of Var_hat(S(1))
-    pred = ex.chaos_variance_prediction(fm.make_spec(64, 0.5), 1.0, q_max=6)
+    spec = fm.make_spec(64, 0.5)
     row = _sweep_row_n64_q6()
-    total = sum(r.contribution for r in pred.rows)
+    total = sum(ex.chaos_weight(q, 1.0) * ch.chaos_variance(spec, q) for q in range(2, 7))
     assert total >= 0.95 * row.var_s_hat
 
 

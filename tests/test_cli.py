@@ -197,10 +197,22 @@ def test_bad_seed_env_var_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert run_cli(argv + ["--seed", "7", "--out", str(out)]) == 0
 
 
-def test_bad_config_file(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense_key = 3\n")
-    assert run_cli(["excursion", "--config", str(cfg)]) == 2
+def test_bad_config_file(tmp_path, capsys):
+    # a key that no subcommand takes, or one that this subcommand does not take
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    for command, n, line in (("excursion", "16", "nonsense_key = 3"),
+                             ("scaling", "16,24,32", "mode = h2_direct"),
+                             ("scaling", "16,24,32", "points = 5")):
+        cfg.write_text(f"{line}\n")
+        argv = [command, "--config", str(cfg), "--n", n, "--beta", "0.5", "--replicates", "100"]
+        assert run_cli(argv + ["--out", str(out)]) == 2, line
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: "), line
+        assert not out.exists()
+    # a setting of the subcommand that has no flag is a good key: clt's q_max
+    cfg.write_text("q_max = 3\n")
+    argv = ["clt", "--config", str(cfg), "--n", "16", "--beta", "0.5", "--replicates", "500", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["config"]["q_max"] == 3
 
 
 def test_bad_integer_list_is_a_usage_error(tmp_path, capsys):
@@ -225,7 +237,13 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("band", [["--n", "1", "--beta", "0.5"], ["--n", "64", "--beta", "1.5"]])
+@pytest.mark.parametrize("band", [
+    ["--n", "1", "--beta", "0.5"], ["--n", "64", "--beta", "1.5"],
+    # a non-finite oversample or threshold is a usage error too
+    ["--n", "16", "--beta", "0.5", "--oversample", "inf"],
+    ["--n", "16", "--beta", "0.5", "--oversample", "nan"],
+    ["--n", "16", "--beta", "0.5", "--u", "nan"],
+])
 @pytest.mark.parametrize("command", ["excursion", "clt", "scaling", "chaos"])
 def test_bad_band_is_a_usage_error(tmp_path, capsys, command, band):
     if command in ("scaling", "chaos"):
@@ -236,6 +254,15 @@ def test_bad_band_is_a_usage_error(tmp_path, capsys, command, band):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert not out.exists()
+
+
+def test_non_finite_oversample_is_a_usage_error_in_simulate(tmp_path, capsys):
+    out = tmp_path / "out"
+    for value in ("inf", "nan"):
+        assert run_cli(["simulate", "--n", "16", "--beta", "0.5", "--oversample", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: oversample must be finite and >= 1, got {value}\n"
+        assert not out.exists()
 
 
 def test_excursion_replicate_csv_format(tmp_path):

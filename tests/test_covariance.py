@@ -9,6 +9,7 @@ import pytest
 
 from bandsphere import covariance as cv
 from bandsphere import field as fm
+from bandsphere import specfun as sf
 from bandsphere.grid import build_grid
 
 
@@ -16,6 +17,27 @@ def test_gamma_exact_unit_at_zero():
     spec = fm.make_spec(100, 0.5)
     assert cv.gamma_exact(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert cv.gamma_cd(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+_SPEC64 = fm.make_spec(64, 0.5)
+
+
+@pytest.mark.parametrize("f, v", [
+    (lambda x: sf.legendre_band_sum(3, 10, x), 0.3),
+    (lambda x: sf.jacobi_p10(7, x), 0.3),
+    (sf.bessel_j1, 2.5),
+    (sf.bessel_j1, 20.0),
+    (lambda x: cv.gamma_exact(_SPEC64, x), 0.3),
+    (lambda x: cv.gamma_cd(_SPEC64, x), 0.3),
+    (lambda x: cv.gamma_hilb(_SPEC64, x), 0.3),
+    (lambda x: cv.gamma_lemma1(_SPEC64, x), 5.0),
+    (lambda x: cv.lemma1_regime2_envelope(_SPEC64, x), 5.0),
+], ids=["legendre_band_sum", "jacobi_p10", "bessel_j1-series", "bessel_j1-hankel", "gamma_exact", "gamma_cd",
+        "gamma_hilb", "gamma_lemma1", "lemma1_regime2_envelope"])
+def test_zero_d_array_gives_a_float(f, v):
+    # the one scalar rule, np.ndim(x) == 0, as in gaussian_cdf and jq_coefficient
+    got = f(np.array(v))
+    assert type(got) is float and got == f(v)
 
 
 def test_gamma_is_exactly_one_at_zero_angle():

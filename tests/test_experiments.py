@@ -19,7 +19,7 @@ import bandsphere
 from bandsphere import experiments as ex
 from bandsphere import field
 from bandsphere.chaos import (
-    chaos_integrals, chaos_variance, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula,
+    chaos_integrals, excursion_area, h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula,
 )
 from bandsphere.field import band_table, make_spec, replicate_rng, sample_coefficients, synthesize
 from bandsphere.grid import build_grid
@@ -465,7 +465,7 @@ def test_runtime_imports_no_scipy():
 
 def test_one_process_runs_load_no_pool_modules(tmp_path):
     # covariance, h2-direct and a one-worker field run stay in one process and
-    # load no pool modules; a two-worker sweep builds one pool and leaves no
+    # load no pool modules, nor numpy.polynomial; a two-worker sweep builds one pool and leaves no
     # process running
     code = textwrap.dedent(f"""
         import sys
@@ -477,6 +477,7 @@ def test_one_process_runs_load_no_pool_modules(tmp_path):
                      ["excursion", "--n", "16", "--replicates", "100", "--q-max", "2", "--workers", "1"]):
             assert bandsphere.cli.main(argv + band + ["--out", {str(tmp_path / "out")!r}]) == 0, argv
             assert "multiprocessing" not in sys.modules and "concurrent.futures" not in sys.modules, argv
+            assert "numpy.polynomial" not in sys.modules, argv  # H_q by one recurrence, in specfun and chaos
         import concurrent.futures, multiprocessing
         pools, pool = [], concurrent.futures.ProcessPoolExecutor
         concurrent.futures.ProcessPoolExecutor = lambda **kwargs: pools.append(kwargs) or pool(**kwargs)
@@ -602,17 +603,6 @@ def test_grid_degree_floor():
     assert ex.grid_degree(64, 2.0, 4) == 256
     assert ex.grid_degree(64, 2.0) == 128
     assert ex.grid_degree(10, 2.55, 2) == 26
-
-
-def test_chaos_variance_prediction_rows_are_exact():
-    spec = make_spec(16, 0.5)
-    pred = ex.chaos_variance_prediction(spec, 1.0, 4)
-    assert [row.q for row in pred.rows] == [2, 3, 4]
-    for row in pred.rows:
-        assert row.var_hq == chaos_variance(spec, row.q)
-        assert row.weight == ex.chaos_weight(row.q, 1.0)
-        assert row.contribution == row.weight * row.var_hq
-    assert pred.leading_term == pytest.approx(pred.rows[0].contribution, rel=1e-12)
 
 
 def _row_bits(row):
