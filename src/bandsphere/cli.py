@@ -215,13 +215,18 @@ def _check_fits(bands, workers: int = 1, whole_field: bool = False, table_copies
     spec, degree = bands[-1]
     n_theta = theta_count(degree)
     need += workers * parity_rows_bytes(spec, n_theta)
-    if whole_field:
-        need += 8 * n_theta * fft_length(degree + 1)
     limit = _physical_memory_bytes()
+    if whole_field:
+        # at least degree + 1 longitudes; fft_length's search is short only
+        # for a field that can fit
+        need += 8 * n_theta * (degree + 1)
+        if need <= limit:
+            need += 8 * n_theta * (fft_length(degree + 1) - degree - 1)
     if need > limit:
+        gigabytes = need / 1e9 if need < 1e300 else math.inf  # an int past float range reads inf
         raise UsageError(
             f"n = {','.join(str(s.n) for s, _ in bands)}: the band tables and field buffers need "
-            f"{need / 1e9:.2f} GB, more than the {limit / 1e9:.2f} GB of physical memory"
+            f"{gigabytes:.2f} GB, more than the {limit / 1e9:.2f} GB of physical memory"
         )
 
 

@@ -218,14 +218,25 @@ def bootstrap_mean_se(values: np.ndarray, rng: np.random.Generator) -> float:
 
 # --- replicate evaluation ----------------------------------------------------
 
+# Largest |quadrature h2 - coefficient h2| of a sound replicate: the grid
+# integrates H_2(field) exactly, and the two agree to ~6e-14 wherever the band
+# table is right, so a larger gap means a wrong field.
+_H2_MISMATCH = 1e-8 * FOUR_PI
+
+
 def _replicate_row(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, r: int):
     """Seed id, area, chaos integrals and exact h2 of replicate r.  The field
-    is reduced as field_blocks yields it; no whole field is built."""
+    is reduced as field_blocks yields it; no whole field is built.  Raises
+    when the field's quadrature h2 misses the h2 of its coefficients."""
     rng = replicate_rng(master_seed, spec.n, r)
     seed_id = rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]
     coeffs = sample_coefficients(spec, rng)
     area, h = reduce_blocks(field_blocks(coeffs, grid), grid, u, q_max)
-    return seed_id, area, h, h2_exact_from_coeffs(coeffs)
+    h2x = h2_exact_from_coeffs(coeffs)
+    if abs(h[2] - h2x) > _H2_MISMATCH:
+        raise ValueError(f"replicate {r}: quadrature h2 {h[2]!r} differs from the coefficients' {h2x!r} "
+                         f"by more than {_H2_MISMATCH:.3g}")
+    return seed_id, area, h, h2x
 
 
 def _replicate_chunk(spec: FieldSpec, grid, u: float, q_max: int, master_seed: int, bounds):

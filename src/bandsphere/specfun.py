@@ -59,6 +59,68 @@ def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.n
     return float(acc[0]) if scalar else acc
 
 
+# The band-edge seeds run the m-recurrence of one degree downward.  A column
+# whose sum of squares passes _SEED_BIG is scaled by _SEED_SHRINK, an exact
+# power of two, so the recurrence never overflows; entries that end below the
+# normal range (_TINY) are flushed to 0.
+_SEED_BIG = 2.0**660
+_SEED_SHRINK = 2.0**-330
+_TINY = float(np.finfo(float).tiny)
+
+
+def _edge_seeds(ell: int, x: np.ndarray, s: np.ndarray, pair: np.ndarray, scratch: np.ndarray) -> None:
+    """N_{ell-1}^m and N_ell^m (m = 0..ell), ell >= 1, at one block of
+    colatitudes with cosines x and sines s into pair[0] and pair[1], of shape
+    (2, >= ell + 1, t).
+
+    Each degree l runs N_l^{m-1} = -[2m cot N_l^m + sqrt((l+m+1)(l-m)) N_l^{m+1}]
+    / sqrt((l+m)(l-m+1)) down from N_l^{l+1} = 0 and N_l^l = (-1)^l, the
+    Condon-Shortley sign, then scales each column to
+    N_l^0^2 + 2 sum_{m>=1} (N_l^m)^2 = (2l+1)/(4 pi), summed in m order, so
+    that a column's bits do not depend on its block (Miller's algorithm; see
+    Gautschi, SIAM Review 9, 1967).  The poles are set directly.  ``scratch``
+    is a (>= ell + 1, t) float buffer."""
+    degree = np.array([[ell - 1.0], [ell]])
+    pole = np.flatnonzero(s == 0.0)
+    cot = x / np.where(s == 0.0, 1.0, s)
+    m = np.arange(ell + 1.0)[:, None, None]
+    c = np.sqrt(np.maximum((degree + m) * (degree - m + 1.0), 1.0))
+    p = -2.0 * m / c
+    q = -np.sqrt(np.maximum((degree + m + 1.0) * (degree - m), 0.0)) / c
+    acc, tmp = np.empty((2, x.size)), np.empty((2, x.size))
+    pair[0, ell - 1], pair[0, ell], pair[1, ell] = (-1.0) ** (ell - 1), 0.0, (-1.0) ** ell
+    acc[0], acc[1] = 0.0, 1.0  # sum over m >= 1 of the rows so far
+    # degree ell alone at m = ell, where N_ell^{ell+1} = 0, then both
+    np.multiply(cot, p[ell, 1], out=pair[1, ell - 1])
+    pair[1, ell - 1] *= pair[1, ell]
+    for k in range(ell, 0, -1):
+        if k < ell:
+            np.multiply(cot, p[k], out=tmp)
+            tmp *= pair[:, k]
+            np.multiply(pair[:, k + 1], q[k], out=pair[:, k - 1])
+            pair[:, k - 1] += tmp
+        if k > 1:
+            np.multiply(pair[:, k - 1], pair[:, k - 1], out=tmp)
+            acc += tmp
+            if acc.max() > _SEED_BIG:
+                for d in (0, 1):
+                    cols = np.flatnonzero(acc[d] > _SEED_BIG)
+                    pair[d, k - 1 : ell + 1, cols] *= _SEED_SHRINK
+                    acc[d, cols] *= _SEED_SHRINK * _SEED_SHRINK
+    np.multiply(pair[:, 0], pair[:, 0], out=tmp)
+    acc *= 2.0
+    acc += tmp
+    np.divide((2.0 * degree + 1.0) / FOUR_PI, acc, out=acc)
+    np.sqrt(acc, out=acc)
+    for d in (0, 1):
+        rows = pair[d, : ell + 1]
+        rows *= acc[d]
+        rows[np.abs(rows, out=scratch[: ell + 1]) < _TINY] = 0.0
+    if pole.size:
+        pair[:, : ell + 1, pole] = 0.0
+        pair[:, 0, pole] = x[pole] ** degree * np.sqrt((2.0 * degree + 1.0) / FOUR_PI)
+
+
 def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np.ndarray:
     """Band-limited normalized associated Legendre table over many colatitudes.
 
@@ -67,11 +129,16 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     [m, l - ell_min, j] = N_l^m(cos_theta[j]); slots with m > l are zero.  The
     normalization is the spherical-harmonic one, Condon-Shortley phase
     included: N_l^0 and sqrt(2) N_l^m cos(m phi), sqrt(2) N_l^m sin(m phi)
-    (m > 0) are the orthonormal real harmonics.  The recurrence climbs in l
-    over one block of colatitudes at a time, in place on three preallocated
-    (m, t) buffers of the block's width, and copies each degree straight into
-    its slice of the table, so building the table takes little more memory
-    than the table itself.
+    (m > 0) are the orthonormal real harmonics.
+
+    One block of colatitudes at a time, every order is seeded at degrees
+    ell_min - 1 and ell_min by the fixed-degree m-recurrence (_edge_seeds),
+    and the l-recurrence climbs from there to ell_max, in place on three
+    preallocated (m, t) buffers of the block's width.  Each degree is copied
+    straight into its slice of the table, so the build costs
+    O(ell_max * (ell_max - ell_min + 2)) per colatitude and takes little more
+    memory than the table itself.  Sectoral entries below the normal range are
+    flushed to 0, so the table holds no subnormal number.
     """
     x = np.asarray(cos_theta, dtype=float)
     if x.ndim != 1:
@@ -96,12 +163,15 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     m = np.arange(width)
     for start in range(0, nt, step):
         stop = min(start + step, nt)
-        prev2, prev, cur = flat[: 3 * width * (stop - start)].reshape(3, width, stop - start)
+        bufs = flat[: 3 * width * (stop - start)].reshape(3, width, stop - start)
+        prev2, prev, cur = bufs
         xb, sb = x[start:stop], s[start:stop]
-        prev[0] = 1.0 / math.sqrt(FOUR_PI)
-        if ell_min == 0:
-            out[:1, 0, start:stop] = prev[:1]
-        for ell in range(1, ell_max + 1):
+        if ell_min:
+            _edge_seeds(ell_min, xb, sb, bufs[:2], cur)
+        else:
+            prev[0] = 1.0 / math.sqrt(FOUR_PI)
+        out[: ell_min + 1, 0, start:stop] = prev[: ell_min + 1]
+        for ell in range(ell_min + 1, ell_max + 1):
             # the operations of the scalar one-colatitude recurrence in its
             # order, so both give the same bits; prev2 is free once read
             k = ell - 1
@@ -116,8 +186,8 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
                 cur[:k] += prev2[:k]
             np.multiply(math.sqrt(2.0 * ell + 1.0) * xb, prev[k], out=cur[k])
             np.multiply(-math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * sb, prev[k], out=cur[ell])
-            if ell >= ell_min:
-                out[: ell + 1, ell - ell_min, start:stop] = cur[: ell + 1]
+            np.copyto(cur[ell], 0.0, where=np.abs(cur[ell]) < _TINY)
+            out[: ell + 1, ell - ell_min, start:stop] = cur[: ell + 1]
             prev2, prev, cur = prev, cur, prev2
     return out
 

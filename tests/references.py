@@ -18,7 +18,7 @@ import numpy as np
 from bandsphere.chaos import chaos_integrals
 from bandsphere.field import FieldSample
 from bandsphere.grid import SphereGrid, integrate_rows
-from bandsphere.specfun import FOUR_PI, gaussian_cdf
+from bandsphere.specfun import _SEED_BIG, _SEED_SHRINK, _TINY, FOUR_PI, gaussian_cdf
 
 
 # --- Legendre tables at one argument ----------------------------------------
@@ -106,6 +106,64 @@ def assoc_legendre_normalized(ell_max: int, cos_theta: float) -> AssocLegendreTa
         vals[ell, ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * vals[ell - 1, ell - 1]
         vals[ell, ell] = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s * vals[ell - 1, ell - 1]
     return AssocLegendreTable(max_degree=ell_max, argument=x, values=vals)
+
+
+def _edge_column(ell: int, x: float, s: float) -> np.ndarray:
+    """N_ell^m, m = 0..ell (and a zero slot), at one colatitude by the
+    downward m-recurrence of the band table's seeds, value by value."""
+    v = np.zeros(ell + 2)
+    if s == 0.0:
+        v[0] = x**ell * math.sqrt((2.0 * ell + 1.0) / FOUR_PI)
+        return v
+    cot = x / s
+    v[ell] = (-1.0) ** ell
+    acc = 1.0 if ell >= 1 else 0.0
+    for k in range(ell, 0, -1):
+        c = math.sqrt((ell + k) * (ell - k + 1.0))
+        v[k - 1] = cot * (-2.0 * k / c) * v[k]
+        if k < ell:  # N_ell^{ell+1} = 0
+            v[k - 1] += -math.sqrt((ell + k + 1.0) * (ell - k)) / c * v[k + 1]
+        if k > 1:
+            acc += v[k - 1] * v[k - 1]
+            if acc > _SEED_BIG:
+                v[k - 1 :] *= _SEED_SHRINK
+                acc *= _SEED_SHRINK * _SEED_SHRINK
+    v *= math.sqrt((2.0 * ell + 1.0) / FOUR_PI / (2.0 * acc + v[0] * v[0]))
+    v[np.abs(v) < _TINY] = 0.0
+    return v
+
+
+def assoc_legendre_band_scalar(ell_min: int, ell_max: int, cos_theta: float) -> np.ndarray:
+    """The band table's recurrence at one colatitude, value by value: the
+    (ell_max + 1, ell_max - ell_min + 1) array [m, l - ell_min] of N_l^m that
+    ``specfun.assoc_legendre_band`` must match bit for bit.
+
+    Degrees ell_min - 1 and ell_min are seeded by the downward m-recurrence
+    and normalized (_edge_column), then the l-recurrence of
+    assoc_legendre_normalized climbs to ell_max; sectoral values below the
+    normal range are flushed to 0."""
+    x = float(cos_theta)
+    s = math.sqrt(max(0.0, 1.0 - x * x))
+    vals = np.zeros((ell_max + 1, ell_max + 1))
+    if ell_min == 0:
+        vals[0, 0] = 1.0 / math.sqrt(FOUR_PI)
+    else:
+        for ell in (ell_min - 1, ell_min):
+            vals[ell, : ell + 1] = _edge_column(ell, x, s)[: ell + 1]
+    for ell in range(ell_min + 1, ell_max + 1):
+        m = np.arange(0, ell - 1)
+        if m.size:
+            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+            b = -np.sqrt(
+                (2.0 * ell + 1.0)
+                * ((ell - 1.0) ** 2 - m * m)
+                / ((2.0 * ell - 3.0) * (ell * ell - m * m))
+            )
+            vals[ell, : ell - 1] = a * x * vals[ell - 1, : ell - 1] + b * vals[ell - 2, : ell - 1]
+        vals[ell, ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * vals[ell - 1, ell - 1]
+        sectoral = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s * vals[ell - 1, ell - 1]
+        vals[ell, ell] = sectoral if abs(sectoral) >= _TINY else 0.0
+    return vals[ell_min:].T
 
 
 # --- quadrature on the grid -------------------------------------------------

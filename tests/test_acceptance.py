@@ -5,6 +5,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete; the heavy Monte Carlo criteria share module-scoped runs.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bandsphere.specfun import FOUR_PI, gaussian_cdf, gaussian_pdf
 from references import chaos_projection
 
 MASTER_SEED = 20260808
+SCALING_NS = (64, 128, 256, 512)
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -28,14 +30,28 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 # -- shared heavy runs ---------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def run_n256():
-    """Criterion 7/9 run: field mode, n=256, beta=0.5, u=1, R=2000."""
-    cfg = ex.ExperimentConfig(
-        n_list=(256,), beta=0.5, u=1.0, replicates=2000, master_seed=MASTER_SEED,
-        mode="field_full", q_max=2,
+def scaling_config(beta: float) -> ex.ExperimentConfig:
+    """Criterion 8 sweep: field mode, n in {64,...,512}, u=1, R=2000, on two
+    workers (the output does not depend on the worker count)."""
+    return ex.ExperimentConfig(
+        n_list=SCALING_NS, beta=beta, u=1.0, replicates=2000,
+        master_seed=MASTER_SEED, mode="field_full", q_max=2, workers=2,
     )
-    return ex.run_variance_sweep(cfg)
+
+
+@pytest.fixture(scope="module")
+def scaling_run():
+    """The criterion 8 sweep of a beta, run once per module.  Its n=256 row at
+    beta=0.5 is the criterion 7/9 run (field mode, n=256, beta=0.5, u=1,
+    R=2000): a row's bits depend only on the seed, n, the replicates, the grid
+    degree and q_max, not on the other n of the sweep or on the workers."""
+    return functools.cache(lambda beta: ex.run_variance_sweep(scaling_config(beta)))
+
+
+@pytest.fixture(scope="module")
+def run_n256(scaling_run):
+    """Criterion 7/9 row: n=256 of the beta=0.5 scaling sweep."""
+    return scaling_run(0.5).rows[SCALING_NS.index(256)]
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +162,7 @@ def test_criterion_6_excursion_area_mean():
 
 
 def test_criterion_7_leading_order_variance(run_n256):
-    row = run_n256.rows[0]
+    row = run_n256
     u = 1.0
     pred = (u * gaussian_pdf(u)) ** 2 / 4.0 * 2.0 * FOUR_PI**2 / row.dof
     ratio = row.var_s_hat / pred
@@ -157,20 +173,16 @@ def test_criterion_7_leading_order_variance(run_n256):
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.8])
-def test_criterion_8_scaling_exponent(beta):
+def test_criterion_8_scaling_exponent(scaling_run, beta):
     # The fitted exponent of Var(S) matches the exponent of the exact integer
     # D(n) over the swept n; -(2 - beta) is that exponent's large-n limit,
     # checked deterministically since the integer band width reaches it only
     # at n ~ 1e6 when beta is near 1 (see README).
-    n_list = (64, 128, 256, 512)
-    cfg = ex.ExperimentConfig(
-        n_list=n_list, beta=beta, u=1.0, replicates=2000,
-        master_seed=MASTER_SEED, mode="field_full", q_max=2, workers=2,
-    )
-    target = ex.dof_scaling_exponent(n_list, beta, cfg.band_rounding)
+    cfg = scaling_config(beta)
+    target = ex.dof_scaling_exponent(SCALING_NS, beta, cfg.band_rounding)
     limit = -(2.0 - beta)
     limit_ok = abs(ex.dof_scaling_exponent((10**6, 2 * 10**6, 4 * 10**6, 8 * 10**6), beta) - limit) <= 0.05
-    result = ex.run_variance_sweep(cfg)
+    result = scaling_run(beta)
     slope = result.fitted_exponent
     fit_ok = abs(slope - target) <= 0.15
     report(f"8 scaling-exponent beta={beta}", fit_ok and limit_ok,
@@ -180,7 +192,7 @@ def test_criterion_8_scaling_exponent(beta):
 
 
 def test_criterion_9_clt(run_n256):
-    row = run_n256.rows[0]
+    row = run_n256
     crit = ex.ks_critical_one_sample(2000)
     ok = bool(row.clt_pass)
     report("9 clt", ok, f"ks={row.clt_ks_stat:.4f} critical={crit:.4f}")

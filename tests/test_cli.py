@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bandsphere
 from bandsphere.cli import main
 from bandsphere.experiments import dof_scaling_exponent
 from bandsphere.grid import build_grid
@@ -263,6 +268,21 @@ def test_non_finite_oversample_is_a_usage_error_in_simulate(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: oversample must be finite and >= 1, got {value}\n"
         assert not out.exists()
+
+
+def test_huge_oversample_is_a_usage_error_in_simulate(tmp_path):
+    # the memory pre-flight rejects the whole field on its lower bound before
+    # it searches for a 5-smooth longitude count near 1.6e301, a search that
+    # would not end; a fresh interpreter runs it, under a timeout
+    out = tmp_path / "out"
+    argv = ["simulate", "--n", "16", "--beta", "0.5", "--oversample", "1e300", "--out", str(out)]
+    src = str(pathlib.Path(bandsphere.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "bandsphere.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "" and done.stderr.startswith("error: n = 16: the band tables and field buffers need ")
+    assert not out.exists()
 
 
 def test_excursion_replicate_csv_format(tmp_path):

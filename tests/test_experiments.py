@@ -290,6 +290,24 @@ def test_row_error_names_the_phase(monkeypatch, phase, target, workers):
     assert res.fitted_exponent is None  # two usable rows are too few to fit
 
 
+def test_replicate_whose_quadrature_h2_misses_its_coefficients_is_a_row_error(monkeypatch):
+    # a wrong band table (here scaled by 1.01) gives a field whose quadrature
+    # h2 is not the h2 of its coefficients: the row fails in its replicates
+    # phase and names the replicate, and the other rows stand
+    base = dict(n_list=(16, 24), beta=0.5, replicates=120, mode="field_full", master_seed=3)
+    clean = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    real = field.band_table
+
+    def scaled(spec, grid):
+        return real(spec, grid) * (1.01 if spec.n == 24 else 1.0)
+
+    monkeypatch.setattr(field, "band_table", scaled)
+    res = ex.run_variance_sweep(ex.ExperimentConfig(**base))
+    assert res.rows[1].error.startswith("replicates: ValueError: replicate 0: quadrature h2 ")
+    assert res.rows[1].var_s_hat is None and 24 not in res.replicate_data
+    _assert_same_rows(res, clean, (16,))
+
+
 @pytest.mark.parametrize("column", ["area", "h", "h2_exact"])
 def test_non_finite_replicate_is_a_row_error(monkeypatch, column):
     base = dict(n_list=(16, 24), beta=0.5, replicates=120, mode="field_full", master_seed=3, q_max=3)

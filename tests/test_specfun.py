@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from bandsphere import specfun as sf
 from bandsphere.experiments import _KS_SLACK
-from references import assoc_legendre_normalized, legendre_all
+from bandsphere.field import make_spec
+from bandsphere.grid import build_grid
+from references import assoc_legendre_band_scalar, assoc_legendre_normalized, legendre_all
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +154,49 @@ def test_assoc_band_table_matches_scalar_table():
         band = sf.assoc_legendre_band(ell_min, 24, np.cos(thetas))
         assert band.shape == (25, 25 - ell_min, thetas.size)
         for j, theta in enumerate(thetas):
-            tab = assoc_legendre_normalized(24, math.cos(theta)).values[ell_min:]
-            assert np.array_equal(band[:, :, j], tab.T)
+            assert np.array_equal(band[:, :, j], assoc_legendre_band_scalar(ell_min, 24, math.cos(theta)))
+    # near the poles the downward m-recurrence of degree 300 grows by far
+    # more than 2^330, so the seeds are scaled on the way; at ell_min = 1 the
+    # seed degree 0 has no m-recurrence at all
+    thetas = np.array([1e-3, 2e-3, 5e-3, 0.02, 0.7, math.pi / 2, math.pi - 1e-3])
+    for ell_min, ell_max in ((300, 310), (1, 6), (6, 6)):
+        band = sf.assoc_legendre_band(ell_min, ell_max, np.cos(thetas))
+        for j, theta in enumerate(thetas):
+            assert np.array_equal(band[:, :, j], assoc_legendre_band_scalar(ell_min, ell_max, math.cos(theta)))
+
+
+@pytest.mark.parametrize("n, beta", [(64, 0.5), (512, 0.5), (512, 0.8)])
+def test_assoc_band_table_near_the_climb_from_the_sectoral_values(n, beta):
+    # the seeded table against the l-recurrence climbed from m = l, which is
+    # exact to ~1e-11 at these degrees; the largest gap (5.8e-12 at n = 512)
+    # sits next to the pole
+    spec, grid = make_spec(n, beta), build_grid(4 * n)
+    north = grid.cos_nodes[: (grid.n_theta + 1) // 2]
+    picked = np.unique(np.concatenate((np.arange(8), np.arange(0, north.size, 32))))
+    band = sf.assoc_legendre_band(spec.ell_min, n, north[picked])
+    for j, x in enumerate(north[picked]):
+        climbed = assoc_legendre_normalized(n, float(x)).values[spec.ell_min :].T
+        assert np.abs(band[:, :, j] - climbed).max() <= 1e-11
+
+
+def test_assoc_band_table_holds_no_subnormal_number():
+    # subnormal entries slow every matmul against the table
+    spec, grid = make_spec(512, 0.5), build_grid(4 * 512)
+    band = sf.assoc_legendre_band(spec.ell_min, spec.n, grid.cos_nodes[: (grid.n_theta + 1) // 2])
+    assert not np.any((band != 0.0) & (np.abs(band) < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("n, beta", [(2048, 0.5), (2048, 0.8), (3072, 0.5), (3072, 0.8)])
+def test_assoc_band_table_addition_theorem_past_the_sectoral_underflow(n, beta):
+    # c_norm * sum_l sum_m w_m (N_l^m)^2 = 1 where sin^m theta drops below the
+    # normal range for orders that still oscillate (worst near theta = 0.367
+    # at n ~ 1925 and 0.525 at n = 2048)
+    spec = make_spec(n, beta)
+    band = sf.assoc_legendre_band(spec.ell_min, n, np.cos([0.3, 0.367, 0.45, 0.525]))
+    weights = np.full(n + 1, 2.0)
+    weights[0] = 1.0
+    variance = spec.c_norm * np.einsum("m,mlt->t", weights, band * band)
+    assert np.abs(variance - 1.0).max() <= 1e-12
 
 
 def test_assoc_domain_error():
