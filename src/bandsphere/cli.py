@@ -263,8 +263,10 @@ def cmd_covariance(r: dict) -> int:
 
 
 def cmd_simulate(r: dict) -> int:
-    if not 1.0 <= r["oversample"] < math.inf:  # ExperimentConfig's rule
-        raise UsageError(f"oversample must be finite and >= 1, got {r['oversample']}")
+    try:
+        ex.check_oversample(r["oversample"], r["n"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
     spec = _make_spec(r)
     degree = ex.grid_degree(spec.n, r["oversample"])
     _check_fits([(spec, degree)], whole_field=True)

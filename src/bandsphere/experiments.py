@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ValueError("q_max must be >= 2")
         if not math.isfinite(self.u):
             raise ValueError(f"u must be finite, got {self.u}")
-        if not 1.0 <= self.oversample < math.inf:  # NaN fails too
-            raise ValueError(f"oversample must be finite and >= 1, got {self.oversample}")
+        check_oversample(self.oversample, self.n_list[-1])
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.master_seed < 0:  # SeedSequence takes non-negative integers only
@@ -307,6 +306,15 @@ def _run_replicates(kernels: dict, replicates: int, workers: int, errors: dict) 
                 chunks = list(pending[n])
                 data[n] = _finite({key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]})
     return data
+
+
+def check_oversample(oversample: float, n: int) -> None:
+    """The oversample rule: finite, at least 1, and a finite grid degree
+    oversample * n at the largest n."""
+    if not 1.0 <= oversample < math.inf:  # NaN fails too
+        raise ValueError(f"oversample must be finite and >= 1, got {oversample}")
+    if oversample * n == math.inf:
+        raise ValueError(f"oversample * n must be finite, got {oversample} * {n}")
 
 
 def grid_degree(n: int, oversample: float, q_max: int = 2) -> int:

@@ -100,11 +100,6 @@ class HarmonicCoefficients:
     spec: FieldSpec
     matrix: np.ndarray
 
-    def coefficient(self, ell: int, m: int) -> float:
-        if not (self.spec.ell_min <= ell <= self.spec.n and abs(m) <= ell):
-            raise IndexError(f"(ell={ell}, m={m}) outside the band")
-        return float(self.matrix[ell - self.spec.ell_min, self.spec.n + m])
-
     def sum_of_squares(self) -> float:
         return float(np.sum(self.matrix * self.matrix))
 

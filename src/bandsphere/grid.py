@@ -16,7 +16,8 @@ import numpy as np
 
 
 def gauss_legendre_nodes(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], the
+    nodes in descending order.
 
     Newton iteration on P_n starting from Chebyshev-type initial guesses;
     raises RuntimeError if any step still exceeds 1e-14 after 100 iterations.
@@ -25,12 +26,21 @@ def gauss_legendre_nodes(n: int):
         raise ValueError(f"need at least one node, got {n}")
     j = np.arange(1, n + 1)
     x = np.cos(math.pi * (j - 0.25) / (n + 0.5))
+    bufs = np.empty((3, n))
 
     def eval_pn(x):
-        p_prev = np.ones_like(x)
-        p_cur = x.copy()
+        p_prev, p_cur, t = bufs
+        p_prev.fill(1.0)
+        np.copyto(p_cur, x)
         for k in range(2, n + 1):
-            p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
+            # P_k = ((2k - 1) x P_{k-1} - (k - 1) P_{k-2}) / k, in place, the
+            # operations in that order
+            np.multiply(x, 2 * k - 1, out=t)
+            t *= p_cur
+            p_prev *= k - 1
+            np.subtract(t, p_prev, out=p_prev)
+            p_prev /= k
+            p_prev, p_cur = p_cur, p_prev
         dp = n * (p_prev - x * p_cur) / (1.0 - x * x)
         return p_cur, dp
 
@@ -94,9 +104,7 @@ def build_grid(target_degree: int) -> SphereGrid:
         raise ValueError(f"target_degree must be >= 1, got {target_degree}")
     n_theta = theta_count(target_degree)
     n_phi = fft_length(target_degree + 1)
-    x, w = gauss_legendre_nodes(n_theta)
-    order = np.argsort(-x)  # descending x = ascending theta
-    x, w = x[order], w[order]
+    x, w = gauss_legendre_nodes(n_theta)  # descending x = ascending theta
     south = n_theta // 2
     x = np.concatenate((x[:south], [0.0] * (n_theta % 2), -x[:south][::-1]))
     w = np.concatenate((w[: n_theta - south], w[:south][::-1]))

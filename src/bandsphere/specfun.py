@@ -16,9 +16,6 @@ import numpy as np
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 FOUR_PI = 4.0 * math.pi
 
-# Colatitudes per block of the band-table recurrence.
-_BAND_BLOCK = 128
-
 # Crossover between the J1 power series and the large-argument (Hankel)
 # expansion.  Both branches bottom out near 1.5e-12 absolute around x ~ 12;
 # see tests for the measured error envelope.
@@ -59,66 +56,15 @@ def legendre_band_sum(ell_min: int, ell_max: int, x: np.ndarray | float) -> np.n
     return float(acc[0]) if scalar else acc
 
 
-# The band-edge seeds run the m-recurrence of one degree downward.  A column
-# whose sum of squares passes _SEED_BIG is scaled by _SEED_SHRINK, an exact
-# power of two, so the recurrence never overflows; entries that end below the
-# normal range (_TINY) are flushed to 0.
-_SEED_BIG = 2.0**660
-_SEED_SHRINK = 2.0**-330
+# The m-recurrence of each degree runs on mantissas, each column (degree,
+# colatitude) with its own power-of-two exponent.  A column whose newest value
+# passes _BIG has its two live values scaled by _SHRINK, an exact power of two,
+# and _SHIFT added to its exponent, so the mantissas never overflow; entries
+# that end below the normal range (_TINY) are flushed to 0.
+_SHIFT = 300
+_BIG = 2.0**_SHIFT
+_SHRINK = 2.0**-_SHIFT
 _TINY = float(np.finfo(float).tiny)
-
-
-def _edge_seeds(ell: int, x: np.ndarray, s: np.ndarray, pair: np.ndarray, scratch: np.ndarray) -> None:
-    """N_{ell-1}^m and N_ell^m (m = 0..ell), ell >= 1, at one block of
-    colatitudes with cosines x and sines s into pair[0] and pair[1], of shape
-    (2, >= ell + 1, t).
-
-    Each degree l runs N_l^{m-1} = -[2m cot N_l^m + sqrt((l+m+1)(l-m)) N_l^{m+1}]
-    / sqrt((l+m)(l-m+1)) down from N_l^{l+1} = 0 and N_l^l = (-1)^l, the
-    Condon-Shortley sign, then scales each column to
-    N_l^0^2 + 2 sum_{m>=1} (N_l^m)^2 = (2l+1)/(4 pi), summed in m order, so
-    that a column's bits do not depend on its block (Miller's algorithm; see
-    Gautschi, SIAM Review 9, 1967).  The poles are set directly.  ``scratch``
-    is a (>= ell + 1, t) float buffer."""
-    degree = np.array([[ell - 1.0], [ell]])
-    pole = np.flatnonzero(s == 0.0)
-    cot = x / np.where(s == 0.0, 1.0, s)
-    m = np.arange(ell + 1.0)[:, None, None]
-    c = np.sqrt(np.maximum((degree + m) * (degree - m + 1.0), 1.0))
-    p = -2.0 * m / c
-    q = -np.sqrt(np.maximum((degree + m + 1.0) * (degree - m), 0.0)) / c
-    acc, tmp = np.empty((2, x.size)), np.empty((2, x.size))
-    pair[0, ell - 1], pair[0, ell], pair[1, ell] = (-1.0) ** (ell - 1), 0.0, (-1.0) ** ell
-    acc[0], acc[1] = 0.0, 1.0  # sum over m >= 1 of the rows so far
-    # degree ell alone at m = ell, where N_ell^{ell+1} = 0, then both
-    np.multiply(cot, p[ell, 1], out=pair[1, ell - 1])
-    pair[1, ell - 1] *= pair[1, ell]
-    for k in range(ell, 0, -1):
-        if k < ell:
-            np.multiply(cot, p[k], out=tmp)
-            tmp *= pair[:, k]
-            np.multiply(pair[:, k + 1], q[k], out=pair[:, k - 1])
-            pair[:, k - 1] += tmp
-        if k > 1:
-            np.multiply(pair[:, k - 1], pair[:, k - 1], out=tmp)
-            acc += tmp
-            if acc.max() > _SEED_BIG:
-                for d in (0, 1):
-                    cols = np.flatnonzero(acc[d] > _SEED_BIG)
-                    pair[d, k - 1 : ell + 1, cols] *= _SEED_SHRINK
-                    acc[d, cols] *= _SEED_SHRINK * _SEED_SHRINK
-    np.multiply(pair[:, 0], pair[:, 0], out=tmp)
-    acc *= 2.0
-    acc += tmp
-    np.divide((2.0 * degree + 1.0) / FOUR_PI, acc, out=acc)
-    np.sqrt(acc, out=acc)
-    for d in (0, 1):
-        rows = pair[d, : ell + 1]
-        rows *= acc[d]
-        rows[np.abs(rows, out=scratch[: ell + 1]) < _TINY] = 0.0
-    if pole.size:
-        pair[:, : ell + 1, pole] = 0.0
-        pair[:, 0, pole] = x[pole] ** degree * np.sqrt((2.0 * degree + 1.0) / FOUR_PI)
 
 
 def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np.ndarray:
@@ -131,14 +77,19 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
     included: N_l^0 and sqrt(2) N_l^m cos(m phi), sqrt(2) N_l^m sin(m phi)
     (m > 0) are the orthonormal real harmonics.
 
-    One block of colatitudes at a time, every order is seeded at degrees
-    ell_min - 1 and ell_min by the fixed-degree m-recurrence (_edge_seeds),
-    and the l-recurrence climbs from there to ell_max, in place on three
-    preallocated (m, t) buffers of the block's width.  Each degree is copied
-    straight into its slice of the table, so the build costs
-    O(ell_max * (ell_max - ell_min + 2)) per colatitude and takes little more
-    memory than the table itself.  Sectoral entries below the normal range are
-    flushed to 0, so the table holds no subnormal number.
+    One recurrence builds every entry: each degree l starts from its sectoral
+    value N_l^l = -sqrt((2l+1)/(2l)) sin(theta) N_{l-1}^{l-1}, carried up the
+    chain as a mantissa and a power-of-two exponent (np.frexp), and runs
+    N_l^{m-1} = -[2m cot(theta) N_l^m + sqrt((l+m+1)(l-m)) N_l^{m+1}]
+    / sqrt((l+m)(l-m+1)) down to m = 0, the direction in which the recurrence
+    is stable (Gautschi, SIAM Review 9, 1967), on (band width, colatitude)
+    arrays: all degrees and colatitudes at once.  The exponents keep values
+    far below the float range exact (Fukushima, J. Geodesy 86, 2012); each
+    order's slab is written once into out[m] by np.ldexp, with entries below
+    the normal range flushed to 0, so the table holds no subnormal number.
+    The poles are set directly.  The build costs
+    O(ell_max * (ell_max - ell_min + 1)) per colatitude and takes little more
+    memory than the table itself.
     """
     x = np.asarray(cos_theta, dtype=float)
     if x.ndim != 1:
@@ -147,48 +98,54 @@ def assoc_legendre_band(ell_min: int, ell_max: int, cos_theta: np.ndarray) -> np
         raise ValueError("cos_theta must lie in [-1, 1]")
     if not 0 <= ell_min <= ell_max:
         raise ValueError(f"need 0 <= ell_min <= ell_max, got [{ell_min}, {ell_max}]")
-    nt = x.size
+    shape = (ell_max - ell_min + 1, x.size)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    width = ell_max + 1
-    out = np.zeros((width, ell_max - ell_min + 1, nt))
-    # three rolling degrees, (m, t) for one block of colatitudes at a time:
-    # nt // _BAND_BLOCK blocks (at least one) of near-equal width, so the
-    # buffers add at most 8 * 3 * (ell_max + 1) * (2 * _BAND_BLOCK - 1) bytes to
-    # the table.  Each block views the front of one flat buffer, so its rows
-    # are contiguous whatever its width.  The recurrence reads only the rows
-    # m <= l of degree l, so the rows above need no clearing.
-    blocks = max(1, nt // _BAND_BLOCK)
-    step = max(1, -(-nt // blocks))
-    flat = np.empty(3 * width * step)
-    m = np.arange(width)
-    for start in range(0, nt, step):
-        stop = min(start + step, nt)
-        bufs = flat[: 3 * width * (stop - start)].reshape(3, width, stop - start)
-        prev2, prev, cur = bufs
-        xb, sb = x[start:stop], s[start:stop]
-        if ell_min:
-            _edge_seeds(ell_min, xb, sb, bufs[:2], cur)
-        else:
-            prev[0] = 1.0 / math.sqrt(FOUR_PI)
-        out[: ell_min + 1, 0, start:stop] = prev[: ell_min + 1]
-        for ell in range(ell_min + 1, ell_max + 1):
-            # the operations of the scalar one-colatitude recurrence in its
-            # order, so both give the same bits; prev2 is free once read
-            k = ell - 1
-            if k:
-                mk = m[:k]
-                d = ell * ell - mk * mk
-                a = np.sqrt((4.0 * ell * ell - 1.0) / d)
-                b = -np.sqrt((2.0 * ell + 1.0) * ((ell - 1.0) ** 2 - mk * mk) / ((2.0 * ell - 3.0) * d))
-                np.multiply(a[:, None], xb, out=cur[:k])
-                cur[:k] *= prev[:k]
-                prev2[:k] *= b[:, None]
-                cur[:k] += prev2[:k]
-            np.multiply(math.sqrt(2.0 * ell + 1.0) * xb, prev[k], out=cur[k])
-            np.multiply(-math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * sb, prev[k], out=cur[ell])
-            np.copyto(cur[ell], 0.0, where=np.abs(cur[ell]) < _TINY)
-            out[: ell + 1, ell - ell_min, start:stop] = cur[: ell + 1]
-            prev2, prev, cur = prev, cur, prev2
+    pole = np.flatnonzero(s == 0.0)
+    cot = x / np.where(s == 0.0, 1.0, s)
+    out = np.zeros((ell_max + 1,) + shape)
+    if not x.size:
+        return out
+    # the sectoral chain: the mantissa and exponent of N_l^l for every band degree
+    sectoral, exponent = np.empty(shape), np.empty(shape, dtype=np.intc)
+    mantissa, power = np.frexp(np.full(x.size, 1.0 / math.sqrt(FOUR_PI)))
+    for ell in range(ell_max + 1):
+        if ell:
+            mantissa *= -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s
+            mantissa, k = np.frexp(mantissa)
+            power += k
+        if ell >= ell_min:
+            sectoral[ell - ell_min], exponent[ell - ell_min] = mantissa, power
+    # recurrence coefficients [m, l - ell_min]; those with m > l are never read
+    degrees = np.arange(ell_min, ell_max + 1.0)
+    orders = np.arange(ell_max + 1.0)[:, None]
+    c = np.sqrt(np.maximum((degrees + orders) * (degrees - orders + 1.0), 1.0))
+    p = -2.0 * orders / c
+    q = -np.sqrt(np.maximum((degrees + orders + 1.0) * (degrees - orders), 0.0)) / c
+    # the rows l >= m of cur hold N_l^m and those of prev N_l^{m+1}, both
+    # scaled by 2^-exponent; degree m joins at order m
+    cur, prev, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    for m in range(ell_max, -1, -1):
+        live = slice(max(0, m - ell_min), None)  # contiguous rows
+        if m >= ell_min:
+            cur[m - ell_min], prev[m - ell_min] = sectoral[m - ell_min], 0.0
+        slab, now, last, t, e = out[m, live], cur[live], prev[live], tmp[live], exponent[live]
+        np.ldexp(now, e, out=slab)
+        np.copyto(slab, 0.0, where=np.abs(slab, out=t) < _TINY)
+        if m == 0:
+            break
+        # N^{m-1} = (p cot) N^m + q N^{m+1}, into the buffer of N^{m+1}
+        np.multiply(p[m, live, None], cot, out=t)
+        t *= now
+        last *= q[m, live, None]
+        last += t
+        if last.max() > _BIG or last.min() < -_BIG:
+            big = np.flatnonzero(np.abs(last, out=t) > _BIG)
+            last.flat[big] *= _SHRINK
+            now.flat[big] *= _SHRINK
+            e.flat[big] += _SHIFT
+        cur, prev = prev, cur
+    if pole.size:
+        out[0][:, pole] = x[pole] ** degrees[:, None] * np.sqrt((2.0 * degrees[:, None] + 1.0) / FOUR_PI)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from bandsphere.chaos import chaos_integrals
 from bandsphere.field import FieldSample
 from bandsphere.grid import SphereGrid, integrate_rows
-from bandsphere.specfun import _SEED_BIG, _SEED_SHRINK, _TINY, FOUR_PI, gaussian_cdf
+from bandsphere.specfun import _BIG, _SHIFT, _SHRINK, _TINY, FOUR_PI, gaussian_cdf
 
 
 # --- Legendre tables at one argument ----------------------------------------
@@ -108,65 +108,70 @@ def assoc_legendre_normalized(ell_max: int, cos_theta: float) -> AssocLegendreTa
     return AssocLegendreTable(max_degree=ell_max, argument=x, values=vals)
 
 
-def _edge_column(ell: int, x: float, s: float) -> np.ndarray:
-    """N_ell^m, m = 0..ell (and a zero slot), at one colatitude by the
-    downward m-recurrence of the band table's seeds, value by value."""
-    v = np.zeros(ell + 2)
-    if s == 0.0:
-        v[0] = x**ell * math.sqrt((2.0 * ell + 1.0) / FOUR_PI)
-        return v
-    cot = x / s
-    v[ell] = (-1.0) ** ell
-    acc = 1.0 if ell >= 1 else 0.0
-    for k in range(ell, 0, -1):
-        c = math.sqrt((ell + k) * (ell - k + 1.0))
-        v[k - 1] = cot * (-2.0 * k / c) * v[k]
-        if k < ell:  # N_ell^{ell+1} = 0
-            v[k - 1] += -math.sqrt((ell + k + 1.0) * (ell - k)) / c * v[k + 1]
-        if k > 1:
-            acc += v[k - 1] * v[k - 1]
-            if acc > _SEED_BIG:
-                v[k - 1 :] *= _SEED_SHRINK
-                acc *= _SEED_SHRINK * _SEED_SHRINK
-    v *= math.sqrt((2.0 * ell + 1.0) / FOUR_PI / (2.0 * acc + v[0] * v[0]))
-    v[np.abs(v) < _TINY] = 0.0
-    return v
-
-
 def assoc_legendre_band_scalar(ell_min: int, ell_max: int, cos_theta: float) -> np.ndarray:
     """The band table's recurrence at one colatitude, value by value: the
     (ell_max + 1, ell_max - ell_min + 1) array [m, l - ell_min] of N_l^m that
     ``specfun.assoc_legendre_band`` must match bit for bit.
 
-    Degrees ell_min - 1 and ell_min are seeded by the downward m-recurrence
-    and normalized (_edge_column), then the l-recurrence of
-    assoc_legendre_normalized climbs to ell_max; sectoral values below the
-    normal range are flushed to 0."""
+    Each degree starts from the mantissa and exponent of its sectoral value
+    and runs the m-recurrence down to m = 0; a value past 2^300 scales the
+    two live values by 2^-300 and adds 300 to the exponent, and values below
+    the normal range are flushed to 0.  The poles are set directly."""
     x = float(cos_theta)
     s = math.sqrt(max(0.0, 1.0 - x * x))
-    vals = np.zeros((ell_max + 1, ell_max + 1))
-    if ell_min == 0:
-        vals[0, 0] = 1.0 / math.sqrt(FOUR_PI)
-    else:
-        for ell in (ell_min - 1, ell_min):
-            vals[ell, : ell + 1] = _edge_column(ell, x, s)[: ell + 1]
-    for ell in range(ell_min + 1, ell_max + 1):
-        m = np.arange(0, ell - 1)
-        if m.size:
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = -np.sqrt(
-                (2.0 * ell + 1.0)
-                * ((ell - 1.0) ** 2 - m * m)
-                / ((2.0 * ell - 3.0) * (ell * ell - m * m))
-            )
-            vals[ell, : ell - 1] = a * x * vals[ell - 1, : ell - 1] + b * vals[ell - 2, : ell - 1]
-        vals[ell, ell - 1] = math.sqrt(2.0 * ell + 1.0) * x * vals[ell - 1, ell - 1]
-        sectoral = -math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s * vals[ell - 1, ell - 1]
-        vals[ell, ell] = sectoral if abs(sectoral) >= _TINY else 0.0
-    return vals[ell_min:].T
+    vals = np.zeros((ell_max + 1, ell_max - ell_min + 1))
+    if s == 0.0:
+        for ell in range(ell_min, ell_max + 1):
+            vals[0, ell - ell_min] = x**ell * math.sqrt((2.0 * ell + 1.0) / FOUR_PI)
+        return vals
+    cot = x / s
+    mantissa, e = math.frexp(1.0 / math.sqrt(FOUR_PI))
+    for ell in range(ell_max + 1):
+        if ell:
+            mantissa, k = math.frexp(mantissa * (-math.sqrt((2.0 * ell + 1.0) / (2.0 * ell)) * s))
+            e += k
+        if ell < ell_min:
+            continue
+        cur, prev, exponent = mantissa, 0.0, e
+        for m in range(ell, -1, -1):
+            value = math.ldexp(cur, exponent)
+            vals[m, ell - ell_min] = value if abs(value) >= _TINY else 0.0
+            if m == 0:
+                break
+            c = math.sqrt((ell + m) * (ell - m + 1.0))
+            new = (-2.0 * m / c * cot) * cur + (-math.sqrt((ell + m + 1.0) * (ell - m)) / c) * prev
+            if abs(new) > _BIG:
+                new, cur, exponent = new * _SHRINK, cur * _SHRINK, exponent + _SHIFT
+            prev, cur = cur, new
+    return vals
 
 
 # --- quadrature on the grid -------------------------------------------------
+
+def gauss_legendre_nodes_allocating(n: int):
+    """``grid.gauss_legendre_nodes`` as first written, a new array for every
+    term of the Legendre recurrence; the in-place rule must match it bit for
+    bit."""
+    j = np.arange(1, n + 1)
+    x = np.cos(math.pi * (j - 0.25) / (n + 0.5))
+
+    def eval_pn(x):
+        p_prev = np.ones_like(x)
+        p_cur = x.copy()
+        for k in range(2, n + 1):
+            p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
+        dp = n * (p_prev - x * p_cur) / (1.0 - x * x)
+        return p_cur, dp
+
+    for _ in range(100):
+        p_cur, dp = eval_pn(x)
+        dx = p_cur / dp
+        x = x - dx
+        if np.abs(dx).max() <= 1e-14:
+            break
+    _, dp = eval_pn(x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
 
 def quad_weights(grid: SphereGrid) -> np.ndarray:
     """Combined per-cell weights (steradians), row-major theta x phi."""

@@ -247,6 +247,7 @@ def test_config_file_values_obey_flag_choices(tmp_path, capsys, line):
     # a non-finite oversample or threshold is a usage error too
     ["--n", "16", "--beta", "0.5", "--oversample", "inf"],
     ["--n", "16", "--beta", "0.5", "--oversample", "nan"],
+    ["--n", "16", "--beta", "0.5", "--oversample", "1e308"],  # oversample * n overflows
     ["--n", "16", "--beta", "0.5", "--u", "nan"],
 ])
 @pytest.mark.parametrize("command", ["excursion", "clt", "scaling", "chaos"])
@@ -263,10 +264,12 @@ def test_bad_band_is_a_usage_error(tmp_path, capsys, command, band):
 
 def test_non_finite_oversample_is_a_usage_error_in_simulate(tmp_path, capsys):
     out = tmp_path / "out"
-    for value in ("inf", "nan"):
+    for value, message in (("inf", "oversample must be finite and >= 1, got inf"),
+                           ("nan", "oversample must be finite and >= 1, got nan"),
+                           ("1e308", "oversample * n must be finite, got 1e+308 * 16")):
         assert run_cli(["simulate", "--n", "16", "--beta", "0.5", "--oversample", value, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: oversample must be finite and >= 1, got {value}\n"
+        assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not out.exists()
 
 

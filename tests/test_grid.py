@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bandsphere import specfun as sf
 from bandsphere.grid import SphereGrid, build_grid, fft_length, gauss_legendre_nodes
-from references import integrate, legendre_all, quad_weights
+from references import gauss_legendre_nodes_allocating, integrate, legendre_all, quad_weights
 
 FOUR_PI = 4 * math.pi
 
@@ -33,6 +33,16 @@ def test_gauss_nodes_match_numpy():
         xr, wr = np.polynomial.legendre.leggauss(n)
         assert np.abs(np.sort(x) - np.sort(xr)).max() <= 1e-13
         assert np.abs(np.sort(w) - np.sort(wr)).max() <= 1e-13
+
+
+def test_gauss_rule_matches_the_allocating_recurrence_bitwise():
+    # the in-place recurrence keeps the operations of the allocating one, and
+    # the nodes come out descending, as build_grid takes them
+    for n in range(1, 301):
+        x, w = gauss_legendre_nodes(n)
+        xr, wr = gauss_legendre_nodes_allocating(n)
+        assert np.array_equal(x, xr) and np.array_equal(w, wr)
+        assert np.all(np.diff(x) < 0.0)
 
 
 def test_nodes_are_legendre_roots():

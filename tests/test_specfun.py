@@ -147,17 +147,16 @@ def test_assoc_matches_scipy_orthonormal_convention():
 
 
 def test_assoc_band_table_matches_scalar_table():
-    # bitwise, on more colatitudes than one block of the band recurrence, the
-    # poles included
-    thetas = np.concatenate(([0.0, math.pi, 0.7], np.linspace(0.01, 3.13, 2 * sf._BAND_BLOCK + 41)))
+    # bitwise, on many colatitudes, the poles included
+    thetas = np.concatenate(([0.0, math.pi, 0.7], np.linspace(0.01, 3.13, 297)))
     for ell_min in (0, 5, 24):
         band = sf.assoc_legendre_band(ell_min, 24, np.cos(thetas))
         assert band.shape == (25, 25 - ell_min, thetas.size)
         for j, theta in enumerate(thetas):
             assert np.array_equal(band[:, :, j], assoc_legendre_band_scalar(ell_min, 24, math.cos(theta)))
-    # near the poles the downward m-recurrence of degree 300 grows by far
-    # more than 2^330, so the seeds are scaled on the way; at ell_min = 1 the
-    # seed degree 0 has no m-recurrence at all
+    assert sf.assoc_legendre_band(5, 24, np.array([])).shape == (25, 20, 0)
+    # near the poles the m-recurrence of degree 300 grows from its sectoral
+    # value by far more than 2^300, so its columns are rescaled on the way
     thetas = np.array([1e-3, 2e-3, 5e-3, 0.02, 0.7, math.pi / 2, math.pi - 1e-3])
     for ell_min, ell_max in ((300, 310), (1, 6), (6, 6)):
         band = sf.assoc_legendre_band(ell_min, ell_max, np.cos(thetas))
@@ -167,7 +166,7 @@ def test_assoc_band_table_matches_scalar_table():
 
 @pytest.mark.parametrize("n, beta", [(64, 0.5), (512, 0.5), (512, 0.8)])
 def test_assoc_band_table_near_the_climb_from_the_sectoral_values(n, beta):
-    # the seeded table against the l-recurrence climbed from m = l, which is
+    # the table against the l-recurrence climbed from m = l, which is
     # exact to ~1e-11 at these degrees; the largest gap (5.8e-12 at n = 512)
     # sits next to the pole
     spec, grid = make_spec(n, beta), build_grid(4 * n)
@@ -186,13 +185,15 @@ def test_assoc_band_table_holds_no_subnormal_number():
     assert not np.any((band != 0.0) & (np.abs(band) < np.finfo(float).tiny))
 
 
-@pytest.mark.parametrize("n, beta", [(2048, 0.5), (2048, 0.8), (3072, 0.5), (3072, 0.8)])
+@pytest.mark.parametrize("n, beta", [(2048, 0.5), (2048, 0.8), (3072, 0.5), (3072, 0.8), (2560, 0.05)])
 def test_assoc_band_table_addition_theorem_past_the_sectoral_underflow(n, beta):
     # c_norm * sum_l sum_m w_m (N_l^m)^2 = 1 where sin^m theta drops below the
     # normal range for orders that still oscillate (worst near theta = 0.367
-    # at n ~ 1925 and 0.525 at n = 2048)
+    # at n ~ 1925 and 0.525 at n = 2048); the wide band at beta = 0.05 (a
+    # 68 MB table) has orders above ell_min that do so near theta = 0.65
     spec = make_spec(n, beta)
-    band = sf.assoc_legendre_band(spec.ell_min, n, np.cos([0.3, 0.367, 0.45, 0.525]))
+    thetas = (0.6, 0.65, 0.7) if beta == 0.05 else (0.3, 0.367, 0.45, 0.525)
+    band = sf.assoc_legendre_band(spec.ell_min, n, np.cos(thetas))
     weights = np.full(n + 1, 2.0)
     weights[0] = 1.0
     variance = spec.c_norm * np.einsum("m,mlt->t", weights, band * band)
