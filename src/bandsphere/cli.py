@@ -179,7 +179,7 @@ def _experiment_config(r: dict) -> ex.ExperimentConfig:
 def _sweep(r: dict) -> ex.ExperimentResult:
     """Config, memory pre-flight and variance sweep of excursion, scaling and clt."""
     config = _experiment_config(r)
-    _check_sweep_fits(config)
+    _check_fits(ex.sweep_bytes(config), config.n_list)
     return ex.run_variance_sweep(config)
 
 
@@ -205,44 +205,14 @@ def _physical_memory_bytes() -> float:
         return math.inf
 
 
-def _check_fits(bands, workers: int = 1, whole_field: bool = False, table_copies: int = 1) -> None:
-    """Usage error, before anything is allocated, when the run would not fit
-    in physical memory: ``table_copies`` copies of the band table of every
-    (spec, grid degree) in ``bands`` (the table cache keeps each until the
-    process exits), one half-spectra array of the last, largest band per
-    synthesizing process and, with ``whole_field``, that band's whole field."""
-    need = table_copies * sum(band_table_bytes(spec, theta_count(degree)) for spec, degree in bands)
-    spec, degree = bands[-1]
-    n_theta = theta_count(degree)
-    need += workers * parity_rows_bytes(spec, n_theta)
+def _check_fits(need: int, ns, arrays: str = "the band tables and field buffers") -> None:
+    """Usage error, before anything is allocated, when the ``need`` bytes of
+    a run's ``arrays`` at top frequencies ``ns`` exceed physical memory."""
     limit = _physical_memory_bytes()
-    if whole_field:
-        # at least degree + 1 longitudes; fft_length's search is short only
-        # for a field that can fit
-        need += 8 * n_theta * (degree + 1)
-        if need <= limit:
-            need += 8 * n_theta * (fft_length(degree + 1) - degree - 1)
     if need > limit:
         gigabytes = need / 1e9 if need < 1e300 else math.inf  # an int past float range reads inf
-        raise UsageError(
-            f"n = {','.join(str(s.n) for s, _ in bands)}: the band tables and field buffers need "
-            f"{gigabytes:.2f} GB, more than the {limit / 1e9:.2f} GB of physical memory"
-        )
-
-
-def _check_sweep_fits(config: ex.ExperimentConfig) -> None:
-    """_check_fits for every n of a field-mode sweep: one pool per sweep,
-    and every n's table is built before it starts.  Forked workers share
-    those tables; each spawned worker builds its own copy of every table.
-    The start method is asked for only when there is a pool, so a one-worker
-    run loads no pool modules."""
-    if config.mode != "field_full":
-        return
-    bands = [(make_spec(n, config.beta, config.band_rounding), ex.grid_degree(n, config.oversample, config.q_max))
-             for n in config.n_list]  # the config has checked every band
-    workers = ex.pool_size(config.workers)
-    spawned = config.workers > 1 and ex.start_method() == "spawn"
-    _check_fits(bands, workers, table_copies=1 + workers if spawned else 1)
+        raise UsageError(f"n = {','.join(map(str, ns))}: {arrays} need {gigabytes:.2f} GB, "
+                         f"more than the {limit / 1e9:.2f} GB of physical memory")
 
 
 # --- subcommands: each takes the resolved settings ----------------------------
@@ -256,6 +226,7 @@ def cmd_covariance(r: dict) -> int:
     psi_max = r["psi_max"] if r["psi_max"] is not None else cov.lemma1_window(spec, r["epsilon"])[1]
     if not 0.0 <= r["psi_min"] < psi_max <= cov.theta_to_psi(spec, math.pi):
         raise UsageError(f"need 0 <= psi_min < psi_max <= alpha*n*pi = {cov.theta_to_psi(spec, math.pi):.6g}")
+    _check_fits(cov.PROFILE_BYTES_PER_POINT * r["points"], (spec.n,), "the covariance profile's arrays")
     psi = np.linspace(r["psi_min"], psi_max, r["points"])
     prof = cov.profile(spec, psi, epsilon=r["epsilon"])
     cov.write_profile_csv(prof, r["out"] or sys.stdout, header_lines=_header_lines(dict(r, psi_max=psi_max)))
@@ -269,7 +240,12 @@ def cmd_simulate(r: dict) -> int:
         raise UsageError(str(exc))
     spec = _make_spec(r)
     degree = ex.grid_degree(spec.n, r["oversample"])
-    _check_fits([(spec, degree)], whole_field=True)
+    n_theta = theta_count(degree)
+    # the table, the half-spectra and a field of at least degree + 1
+    # longitudes; fft_length's search is short only for a field that fits
+    need = band_table_bytes(spec, n_theta) + parity_rows_bytes(spec, n_theta) + 8 * n_theta * (degree + 1)
+    _check_fits(need, (spec.n,))
+    _check_fits(need + 8 * n_theta * (fft_length(degree + 1) - degree - 1), (spec.n,))
     sample = synthesize(sample_coefficients(spec, replicate_rng(r["seed"], spec.n, 0)), build_grid(degree))
     write_field_csv(sample, r["out"] or sys.stdout, header_lines=_header_lines(r))
     return 0
@@ -330,7 +306,7 @@ def cmd_clt(r: dict) -> int:
 def cmd_chaos(r: dict) -> int:
     config = ex.chaos_report_config(_experiment_config(r))
     r = dict(r, q_max=config.q_max)  # echo the q_max the report runs
-    _check_sweep_fits(config)
+    _check_fits(ex.sweep_bytes(config), config.n_list)
     report = ex.chaos_dominance_report(config)
     payload = {
         "config": _config_payload(r),

@@ -200,6 +200,16 @@ def _on_window(values, spec: FieldSpec, x: np.ndarray, mask: np.ndarray) -> np.n
     return out
 
 
+# Peak bytes per psi point of profile, counted from the code at its largest
+# step, the lower Bessel term of the Hilb column: the columns psi, theta,
+# exact and cd and three window masks (35), _on_window's output and windowed
+# theta (16), _hilb_values' prefactor, upper term and Bessel argument (24),
+# bessel_j1's output, mask and argument copy (17), and the eight buffers of
+# _j1_series (64), its larger branch (_j1_asymptotic holds 50).
+# write_profile_csv then holds the seven columns and one block of rows.
+PROFILE_BYTES_PER_POINT = 35 + 16 + 24 + 17 + 64
+
+
 def profile(spec: FieldSpec, psi_grid, epsilon: float = 0.1) -> CovarianceProfile:
     psi = np.atleast_1d(np.asarray(psi_grid, dtype=float))
     if np.any(psi > theta_to_psi(spec, math.pi)):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .chaos import h2_exact_from_coeffs, h2_sample_direct, h2_variance_formula, reduce_blocks
 from .field import FieldSpec, band_table, field_blocks, make_spec, replicate_rng, sample_coefficients, write_table
-from .grid import build_grid
+from .field import band_table_bytes, parity_rows_bytes
+from .grid import build_grid, theta_count
 # no sweep calls these whole-field functions; they stay attributes of this
 # module because the benchmark's layer tracer wraps them here
 from .chaos import chaos_integrals, excursion_area  # noqa: F401
@@ -306,6 +307,23 @@ def _run_replicates(kernels: dict, replicates: int, workers: int, errors: dict) 
                 chunks = list(pending[n])
                 data[n] = _finite({key: np.concatenate([chunk[key] for chunk in chunks]) for key in chunks[0]})
     return data
+
+
+def sweep_bytes(config: ExperimentConfig) -> int:
+    """Bytes that run_variance_sweep(config) keeps: every n's band table (the
+    cache keeps each), one more copy of each per spawned worker, and one
+    half-spectra array of the largest n per synthesizing process; 0 in
+    h2_direct mode.  It builds no grid and no table, and asks for the start
+    method only when there is a pool, so a one-worker run loads no pool modules."""
+    if config.mode != "field_full":
+        return 0
+    bands = [(make_spec(n, config.beta, config.band_rounding),
+              theta_count(grid_degree(n, config.oversample, config.q_max))) for n in config.n_list]
+    tables = sum(band_table_bytes(spec, n_theta) for spec, n_theta in bands)
+    workers = pool_size(config.workers)
+    if config.workers > 1 and start_method() == "spawn":
+        tables *= 1 + workers
+    return tables + workers * parity_rows_bytes(*bands[-1])
 
 
 def check_oversample(oversample: float, n: int) -> None:

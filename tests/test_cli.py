@@ -458,6 +458,38 @@ def test_memory_preflight_passes_fitting_and_direct_runs(tmp_path, monkeypatch):
     assert rc == 0
 
 
+def test_memory_preflight_of_covariance_counts_its_profile_arrays(tmp_path, monkeypatch, capsys):
+    from bandsphere import cli, covariance
+
+    argv = ["covariance", "--n", "64", "--beta", "0.5", "--points", "500"]
+    need = covariance.PROFILE_BYTES_PER_POINT * 500
+    out = tmp_path / "prof.csv"
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need - 1)
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: n = 64: the covariance profile's arrays need {need / 1e9:.2f} GB, "
+        f"more than the {(need - 1) / 1e9:.2f} GB of physical memory\n")
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need)
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 500
+
+
+def test_huge_point_count_is_a_usage_error_in_covariance(tmp_path):
+    # refused before np.linspace asks for 160 GB; a fresh interpreter runs
+    # it, under a timeout
+    out = tmp_path / "out"
+    argv = ["covariance", "--n", "64", "--beta", "0.5", "--points", "20000000000", "--out", str(out)]
+    src = str(pathlib.Path(bandsphere.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "bandsphere.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "" and done.stderr.startswith("error: n = 64: the covariance profile's arrays need ")
+    assert done.stderr.endswith(" GB of physical memory\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config", "env"])
 @pytest.mark.parametrize("argv", [
     ["covariance", "--n", "64", "--beta", "0.5", "--points", "20"],

@@ -285,3 +285,21 @@ def test_profile_accepts_the_sphere_end_and_rejects_beyond_it():
         np.testing.assert_array_equal(prof.exact, cv.gamma_exact(spec, prof.theta))
         with pytest.raises(ValueError):
             cv.profile(spec, [0.0, math.nextafter(bound, math.inf)])
+
+
+def test_profile_and_csv_peak_within_the_stated_bytes_per_point(tmp_path):
+    # the memory pre-flight of the covariance subcommand counts
+    # PROFILE_BYTES_PER_POINT per psi point; here the Bessel terms take their
+    # asymptotic branch, 142 B per point measured against 156 counted
+    import tracemalloc
+
+    spec, points = fm.make_spec(6400, 0.5), 20_000
+    need = cv.PROFILE_BYTES_PER_POINT * points
+    tracemalloc.start()
+    try:
+        psi = np.linspace(0.0, cv.lemma1_window(spec)[1], points)
+        cv.write_profile_csv(cv.profile(spec, psi), str(tmp_path / "prof.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.85 * need <= peak <= need

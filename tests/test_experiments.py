@@ -511,6 +511,47 @@ def test_one_process_runs_load_no_pool_modules(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_sweep_bytes_count_what_a_one_worker_sweep_allocates():
+    # every n's band table and the half-spectra of the largest n, and, on
+    # top of them, the replicate kernel's block buffers at the largest n: a
+    # half-spectrum, a field block, a running power and a mask.  The rest
+    # (coefficients, row sums, replicate arrays) measured under a tenth of
+    # the buffers, so the slack is 1.25 times them
+    import tracemalloc
+
+    import numpy.fft  # noqa: F401  # numpy loads it at the first FFT; an import allocates too
+
+    config = ex.ExperimentConfig(n_list=(64, 128, 256), beta=0.5, replicates=100, q_max=4, workers=1)
+    grid = build_grid(ex.grid_degree(256, config.oversample, config.q_max))
+    rows = max(1, field._BLOCK_BYTES // (16 * (grid.n_phi // 2 + 1)))
+    blocks = rows * (16 * (grid.n_phi // 2 + 1) + 17 * grid.n_phi)
+    need = ex.sweep_bytes(config)
+    field.clear_table_cache()
+    tracemalloc.start()
+    try:
+        result = ex.run_variance_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.error is None for row in result.rows)
+    assert need <= peak <= need + 1.25 * blocks
+
+
+def test_sweep_bytes_builds_no_grid_and_no_table(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("sweep_bytes counts from theta_count alone")
+
+    monkeypatch.setattr(ex, "build_grid", no_build)
+    monkeypatch.setattr(ex, "band_table", no_build)
+    config = ex.ExperimentConfig(n_list=(16, 32), beta=0.5, replicates=100, q_max=4)
+    n_theta = 65  # grid degree 128
+    spec = make_spec(32, 0.5)
+    tables = field.band_table_bytes(make_spec(16, 0.5), 33) + field.band_table_bytes(spec, n_theta)
+    assert ex.sweep_bytes(config) == tables + field.parity_rows_bytes(spec, n_theta)
+    # h2_direct mode synthesizes no field
+    assert ex.sweep_bytes(ex.ExperimentConfig(n_list=(16, 32), beta=0.5, replicates=100, mode="h2_direct")) == 0
+
+
 def test_clt_test_degenerate_input():
     with pytest.raises(ValueError):
         ex.clt_test(np.ones(600))
